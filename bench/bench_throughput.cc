@@ -10,7 +10,8 @@
 //                 the block-wise scan kernels.
 // Each document runs a single scan-bound query solo, and the XMark document
 // additionally runs an 8-query batch through the MultiQueryEngine (one
-// shared scan). The textdense document and an attribute-rich tagdense
+// shared scan) and the Q8 value join solo (workload "xmark_q8": evaluator
+// bound, every person compared against every closed auction). The textdense document and an attribute-rich tagdense
 // variant additionally run as scalar-vs-dispatched A/B pairs (see
 // RunBackendAb): same build and document, only the scan-kernel table
 // differs, outputs asserted byte-identical — the MB/s ratio within a pair
@@ -18,8 +19,9 @@
 // Allocations are counted with the opt-in operator-new hook
 // from bench_util.h, over the Execute call only — steady-state
 // allocations/event is the pipeline's zero-copy health metric, asserted in
-// CI against a fixed ceiling (wall-clock gates would flake; alloc counts
-// don't).
+// CI against fixed ceilings (wall-clock gates would flake; alloc counts
+// don't). The xmark_q8 row's ceiling guards the evaluator's comparison
+// path, which must not allocate per comparison.
 //
 // GCX_BENCH_SCALE=N multiplies the document sizes.
 // GCX_BENCH_JSON=path overrides the output path
@@ -45,7 +47,7 @@ namespace {
 using gcx::bench::AllocCounterScope;
 
 struct Row {
-  std::string workload;  // "xmark" | "tagdense" | "textdense"
+  std::string workload;  // "xmark" | "xmark_q8" | "tagdense" | "textdense"
   std::string mode;      // "solo" | "batch8"
   std::string backend;   // scan-kernel family classifying the bytes
   uint64_t document_bytes = 0;
@@ -315,6 +317,7 @@ int main() {
   std::vector<Row> rows;
   rows.push_back(RunSolo("xmark", XMarkQ6(), xmark, reps));
   rows.push_back(RunBatch8(xmark, reps));
+  rows.push_back(RunSolo("xmark_q8", XMarkQ8(), xmark, reps));
   // Only the t0 rows are live for the query; the other 63 tag names are
   // fast-skipped — raw tokenizer + DFA-transition speed.
   rows.push_back(

@@ -15,6 +15,7 @@ uint64_t NodeBytes(const BufferNode& node) {
 }  // namespace
 
 uint32_t BufferNode::RoleCount(RoleId r) const {
+  if (r == kPinRole) return pins;
   for (const RoleInstance& inst : roles) {
     if (inst.role == r) return inst.count;
   }
@@ -111,7 +112,7 @@ void BufferTree::AddWeight(BufferNode* node, int64_t delta) {
 
 void BufferTree::AddRole(BufferNode* node, RoleId role, uint32_t count,
                          bool aggregate) {
-  GCX_CHECK(count > 0);
+  GCX_CHECK(count > 0 && role != kPinRole);
   uint64_t before = NodeBytes(*node);
   bool found = false;
   for (RoleInstance& inst : node->roles) {
@@ -126,7 +127,7 @@ void BufferTree::AddRole(BufferNode* node, RoleId role, uint32_t count,
   }
   node->self_weight += count;
   AddWeight(node, count);
-  if (role != kPinRole) stats_.roles_assigned += count;
+  stats_.roles_assigned += count;
   stats_.bytes_current += NodeBytes(*node) - before;
   UpdateBytesPeak();
   // A node that gains relevance is no longer deletable.
@@ -134,7 +135,7 @@ void BufferTree::AddRole(BufferNode* node, RoleId role, uint32_t count,
 }
 
 void BufferTree::RemoveRole(BufferNode* node, RoleId role, uint32_t count) {
-  GCX_CHECK(count > 0);
+  GCX_CHECK(count > 0 && role != kPinRole);
   uint64_t before = NodeBytes(*node);
   bool found = false;
   for (size_t i = 0; i < node->roles.size(); ++i) {
@@ -155,17 +156,24 @@ void BufferTree::RemoveRole(BufferNode* node, RoleId role, uint32_t count) {
   GCX_CHECK(node->self_weight >= count);
   node->self_weight -= count;
   AddWeight(node, -static_cast<int64_t>(count));
-  if (role != kPinRole) stats_.roles_removed += count;
+  stats_.roles_removed += count;
   stats_.bytes_current += NodeBytes(*node) - before;
   LocalGc(node);
 }
 
 void BufferTree::Pin(BufferNode* node) {
-  AddRole(node, kPinRole, 1, /*aggregate=*/false);
+  ++node->pins;
+  ++node->self_weight;
+  AddWeight(node, 1);
+  node->marked_deleted = false;
 }
 
 void BufferTree::Unpin(BufferNode* node) {
-  RemoveRole(node, kPinRole, 1);
+  GCX_CHECK(node->pins > 0);
+  --node->pins;
+  --node->self_weight;
+  AddWeight(node, -1);
+  LocalGc(node);
 }
 
 bool BufferTree::Irrelevant(const BufferNode* node) const {
@@ -251,18 +259,18 @@ void DumpNode(const BufferNode* node, const SymbolTable& tags, int depth,
   } else {
     *out += tags.Name(node->tag);
   }
-  if (!node->roles.empty()) {
+  if (!node->roles.empty() || node->pins > 0) {
     std::string roles;
     for (const RoleInstance& inst : node->roles) {
       for (uint32_t i = 0; i < inst.count; ++i) {
         if (!roles.empty()) roles += ",";
-        if (inst.role == kPinRole) {
-          roles += "pin";
-        } else {
-          roles += "r" + std::to_string(inst.role);
-          if (inst.aggregate) roles += "*";
-        }
+        roles += "r" + std::to_string(inst.role);
+        if (inst.aggregate) roles += "*";
       }
+    }
+    for (uint32_t i = 0; i < node->pins; ++i) {
+      if (!roles.empty()) roles += ",";
+      roles += "pin";
     }
     *out += "{" + roles + "}";
   }

@@ -6,8 +6,9 @@
 //    names are interned integers.
 //  * Every node carries a role *multiset* (a role can be assigned to the
 //    same node several times, e.g. through descendant-axis multiplicity).
-//  * Evaluator cursors hold *pins*, implemented as instances of the
-//    reserved role 0, so the same relevance machinery protects them.
+//  * Evaluator cursors hold *pins*: a plain per-node counter that weighs
+//    like a role instance, so the same relevance machinery protects them
+//    without touching the role multiset.
 //  * Each node maintains `subtree_weight`, the number of role+pin instances
 //    in its subtree (including itself); the Fig. 10 irrelevance test
 //    ("neither the node itself nor any of its descendants carry a role")
@@ -58,18 +59,23 @@ struct BufferNode {
   BufferNode* next_sibling = nullptr;
 
   std::vector<RoleInstance> roles;
-  uint32_t self_weight = 0;    ///< Σ counts in `roles`
+  uint32_t self_weight = 0;    ///< Σ counts in `roles`, plus `pins`
+  uint32_t pins = 0;           ///< cursor pins held on this node
   uint64_t subtree_weight = 0; ///< Σ self_weight over the subtree
 
-  /// Multiplicity of `role` on this node.
+  /// Multiplicity of `role` on this node (`pins` for kPinRole).
   uint32_t RoleCount(RoleId role) const;
   /// True if the node holds at least one aggregate role instance.
   bool HasAggregateRole() const;
 };
 
+// Pins sit in the padding after self_weight: the node stays 112 bytes.
+static_assert(sizeof(BufferNode) == 112, "BufferNode layout changed");
+
 /// Buffer statistics. Byte figures count the live tree: node structs, text
 /// payloads and role entries (the memory the paper's technique manages;
-/// allocator overhead is excluded deliberately — see DESIGN.md).
+/// allocator overhead is excluded deliberately — see DESIGN.md). Pins are
+/// not role entries: they live in the node struct and add no bytes.
 struct BufferStats {
   uint64_t nodes_current = 0;
   uint64_t nodes_peak = 0;
@@ -113,13 +119,15 @@ class BufferTree {
 
   // --- roles --------------------------------------------------------------
 
-  /// Adds `count` instances of `role` to `node`.
+  /// Adds `count` instances of `role` to `node`. `role` is a query role,
+  /// never kPinRole (pins go through Pin/Unpin).
   void AddRole(BufferNode* node, RoleId role, uint32_t count, bool aggregate);
   /// Removes `count` instances; it is a checked error (paper requirement 1)
   /// if fewer instances are present. Runs localized GC from `node`.
   void RemoveRole(BufferNode* node, RoleId role, uint32_t count);
 
-  /// Cursor pins (role 0). Unpin runs localized GC.
+  /// Cursor pins: counted in `pins` and weighed like a role instance, so a
+  /// pinned node is never irrelevant. Unpin runs localized GC.
   void Pin(BufferNode* node);
   void Unpin(BufferNode* node);
 

@@ -1,12 +1,15 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
+#include "common/status.h"
 #include "xml/simd_scan.h"
 
 namespace gcx {
@@ -30,14 +33,50 @@ bool IsAllWhitespace(std::string_view text) {
   return ops.find_non_space(text.data(), text.size()) == text.size();
 }
 
+namespace {
+/// True if `text` is a decimal number: optional sign, digits with an
+/// optional fraction (at least one digit overall), optional exponent.
+/// strtod's other forms (hex, inf, nan) are deliberately not numbers.
+bool IsDecimalNumber(std::string_view text) {
+  size_t i = 0;
+  auto skip_sign = [&] {
+    if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
+  };
+  auto skip_digits = [&] {
+    size_t start = i;
+    while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+    return i - start;
+  };
+  skip_sign();
+  size_t digits = skip_digits();
+  if (i < text.size() && text[i] == '.') {
+    ++i;
+    digits += skip_digits();
+  }
+  if (digits == 0) return false;
+  if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
+    ++i;
+    skip_sign();
+    if (skip_digits() == 0) return false;
+  }
+  return i == text.size();
+}
+}  // namespace
+
 std::optional<double> ParseNumber(std::string_view text) {
   std::string_view trimmed = TrimWhitespace(text);
-  if (trimmed.empty()) return std::nullopt;
-  std::string owned(trimmed);
-  const char* begin = owned.c_str();
-  char* end = nullptr;
-  double value = std::strtod(begin, &end);
-  if (end != begin + owned.size()) return std::nullopt;
+  if (!IsDecimalNumber(trimmed)) return std::nullopt;
+  // from_chars rejects a leading '+'; the grammar check above has already
+  // ruled out everything else it would accept beyond the decimal form.
+  if (trimmed.front() == '+') trimmed.remove_prefix(1);
+  double value = 0;
+  auto [end, ec] =
+      std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    // Overflow/underflow: keep strtod's rounding to +-HUGE_VAL or zero.
+    return std::strtod(std::string(trimmed).c_str(), nullptr);
+  }
+  GCX_CHECK(ec == std::errc() && end == trimmed.data() + trimmed.size());
   return value;
 }
 

@@ -10,8 +10,10 @@
 
 namespace gcx {
 
-/// Parses `text` (after trimming XML whitespace) as a double.
-/// Returns nullopt when the trimmed text is not exactly one number.
+/// Parses `text` (after trimming XML whitespace) as a double. Only the
+/// decimal form counts as a number: optional sign, digits with an optional
+/// fraction, optional exponent ("+2", " -3.5 ", "1e3"). Returns nullopt for
+/// anything else, including hex, "inf" and "nan".
 std::optional<double> ParseNumber(std::string_view text);
 
 /// Removes leading/trailing XML whitespace (space, tab, CR, LF).

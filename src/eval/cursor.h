@@ -3,10 +3,10 @@
 // A StepCursor iterates, in document order, over the buffered nodes matched
 // by one location step from a scope node, pulling further input whenever
 // the next candidate may not have arrived yet. The cursor keeps its current
-// position *pinned* (role 0) so that active garbage collection never frees
-// a node the evaluator still points at; moving the cursor unpins the old
-// position, which is exactly the moment a fully signed-off binding gets
-// purged (the "localized" GC trigger of Sec. 5).
+// position *pinned* (BufferTree::Pin) so that active garbage collection
+// never frees a node the evaluator still points at; moving the cursor
+// unpins the old position, which is exactly the moment a fully signed-off
+// binding gets purged (the "localized" GC trigger of Sec. 5).
 
 #ifndef GCX_EVAL_CURSOR_H_
 #define GCX_EVAL_CURSOR_H_

@@ -5,15 +5,23 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace gcx {
 
-bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
-  auto ln = ParseNumber(lhs);
-  auto rn = ParseNumber(rhs);
+namespace {
+/// Stamp of the bindings that never change during one run: $root's, and
+/// the one literal operands are loaded under.
+constexpr uint64_t kFixedStamp = 1;
+
+/// CompareValues over values whose numbers are already parsed.
+bool CompareParsed(std::string_view lhs, const std::optional<double>& ln,
+                   RelOp op, std::string_view rhs,
+                   const std::optional<double>& rn) {
   int cmp;
   if (ln.has_value() && rn.has_value()) {
     cmp = *ln < *rn ? -1 : (*ln > *rn ? 1 : 0);
@@ -37,12 +45,20 @@ bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
   }
   return false;
 }
+}  // namespace
+
+bool CompareValues(const std::string& lhs, RelOp op, const std::string& rhs) {
+  return CompareParsed(lhs, ParseNumber(lhs), op, rhs, ParseNumber(rhs));
+}
 
 Evaluator::Evaluator(const AnalyzedQuery* query, ExecContext* ctx,
                      XmlWriter* writer, EvalOptions options)
     : query_(query), ctx_(ctx), writer_(writer), options_(options) {
   env_.assign(query_->query.var_names.size(), nullptr);
   env_[kRootVar] = ctx_->buffer().root();
+  binding_stamp_.assign(env_.size(), 0);
+  binding_stamp_[kRootVar] = kFixedStamp;
+  last_stamp_ = kFixedStamp;
 }
 
 Status Evaluator::Run() { return EvalExpr(*query_->query.body); }
@@ -126,8 +142,12 @@ Status Evaluator::EvalAggregate(const Expr& expr) {
   // and is what XPath 1.0 number() semantics prescribe.) All four engine
   // configurations share this rule — the DOM reference implements the
   // identical loop in core/dom_engine.cc.
+  GCX_RETURN_IF_ERROR(ReadValues(expr.var, expr.path, &sum_values_));
   std::vector<std::string> values;
-  GCX_RETURN_IF_ERROR(PathValues(expr.var, expr.path, &values));
+  values.reserve(sum_values_.values.size());
+  for (const ValueList::Value& value : sum_values_.values) {
+    values.emplace_back(sum_values_.View(value));
+  }
   if (capture != nullptr) {
     capture->values = std::move(values);
     return Status::Ok();
@@ -159,6 +179,7 @@ Status Evaluator::EvalFor(const Expr& expr) {
     GCX_ASSIGN_OR_RETURN(BufferNode* node, cursor.Next());
     if (node == nullptr) break;
     env_[static_cast<size_t>(expr.loop_var)] = node;
+    binding_stamp_[static_cast<size_t>(expr.loop_var)] = ++last_stamp_;
     GCX_RETURN_IF_ERROR(EvalExpr(*expr.body));
   }
   env_[static_cast<size_t>(expr.loop_var)] = nullptr;
@@ -178,26 +199,38 @@ Status Evaluator::EvalSignOff(const Expr& expr) {
   if (expr.var != kRootVar) {
     GCX_RETURN_IF_ERROR(ctx_->EnsureFinished(base));
   }
-  std::vector<std::pair<BufferNode*, uint32_t>> targets;
-  CollectWithMultiplicity(base, expr.path, 0, 1, &targets);
-  for (auto& [node, mult] : targets) {
+  for (const auto& [node, mult] :
+       collector_.Collect(ctx_->tags(), base, expr.path)) {
     ctx_->buffer().RemoveRole(node, expr.role, mult);
   }
   return Status::Ok();
 }
 
-void Evaluator::CollectWithMultiplicity(
-    BufferNode* base, const RelativePath& path, size_t step_index,
-    uint32_t mult, std::vector<std::pair<BufferNode*, uint32_t>>* out) {
+const MatchCollector::Matches& MatchCollector::Collect(
+    const SymbolTable& tags, BufferNode* base, const RelativePath& path) {
+  tags_ = &tags;
+  size_t non_child_steps = 0;
+  for (const Step& step : path.steps) {
+    if (step.axis != Axis::kChild) ++non_child_steps;
+  }
+  merge_duplicates_ = non_child_steps > 1;
+  out_.clear();
+  Walk(base, path, 0, 1);
+  return out_;
+}
+
+void MatchCollector::Walk(BufferNode* base, const RelativePath& path,
+                          size_t step_index, uint32_t mult) {
   if (step_index == path.steps.size()) {
-    // Accumulate (a node can be reached via several contexts).
-    for (auto& entry : *out) {
-      if (entry.first == base) {
-        entry.second += mult;
-        return;
+    if (merge_duplicates_) {
+      for (auto& entry : out_) {
+        if (entry.first == base) {
+          entry.second += mult;
+          return;
+        }
       }
     }
-    out->push_back({base, mult});
+    out_.push_back({base, mult});
     return;
   }
   const Step& step = path.steps[step_index];
@@ -206,14 +239,14 @@ void Evaluator::CollectWithMultiplicity(
     if (n->is_text) return step.test.MatchesText();
     // The virtual root is only reachable via dos::node() self-matches.
     if (n->parent == nullptr) return step.test.kind == NodeTestKind::kAnyNode;
-    return step.test.MatchesElement(ctx_->tags().Name(n->tag));
+    return step.test.MatchesElement(tags_->Name(n->tag));
   };
   switch (step.axis) {
     case Axis::kChild: {
       for (BufferNode* c = base->first_child; c != nullptr;
            c = c->next_sibling) {
         if (!matches(c)) continue;
-        CollectWithMultiplicity(c, path, step_index + 1, mult, out);
+        Walk(c, path, step_index + 1, mult);
         if (step.predicate == StepPredicate::kFirst) break;
       }
       return;
@@ -222,25 +255,30 @@ void Evaluator::CollectWithMultiplicity(
     case Axis::kDescendantOrSelf: {
       bool first_only = step.predicate == StepPredicate::kFirst;
       if (step.axis == Axis::kDescendantOrSelf && matches(base)) {
-        CollectWithMultiplicity(base, path, step_index + 1, mult, out);
+        Walk(base, path, step_index + 1, mult);
         if (first_only) return;
       }
       // Pre-order walk of the subtree; marked (condemned) nodes root
-      // role-free subtrees and are skipped wholesale.
-      std::vector<BufferNode*> stack;
+      // role-free subtrees and are skipped wholesale. This level owns the
+      // stack above `floor`; nested levels return it at the size they
+      // found it.
+      const size_t floor = stack_.size();
       for (BufferNode* c = base->last_child; c != nullptr;
            c = c->prev_sibling) {
-        if (!c->marked_deleted) stack.push_back(c);
+        if (!c->marked_deleted) stack_.push_back(c);
       }
-      while (!stack.empty()) {
-        BufferNode* n = stack.back();
-        stack.pop_back();
+      while (stack_.size() > floor) {
+        BufferNode* n = stack_.back();
+        stack_.pop_back();
         if (matches(n)) {
-          CollectWithMultiplicity(n, path, step_index + 1, mult, out);
-          if (first_only) return;
+          Walk(n, path, step_index + 1, mult);
+          if (first_only) {
+            stack_.resize(floor);
+            return;
+          }
         }
         for (BufferNode* c = n->last_child; c != nullptr; c = c->prev_sibling) {
-          if (!c->marked_deleted) stack.push_back(c);
+          if (!c->marked_deleted) stack_.push_back(c);
         }
       }
       return;
@@ -286,38 +324,55 @@ Result<bool> Evaluator::ExistsPath(BufferNode* base, const RelativePath& path,
   }
 }
 
-Status Evaluator::OperandValues(const Operand& operand,
-                                std::vector<std::string>* out) {
-  GCX_CHECK(!operand.is_literal);
-  return PathValues(operand.var, operand.path, out);
+Status Evaluator::LoadOperand(const Operand& operand, ValueList* slot) {
+  // A binding's values cannot change while its stamp stands: they are read
+  // only once the binding is finished, so nothing more arrives under it,
+  // and the matches keep their dep roles until the binding's signOff,
+  // which follows every use (Theorem 1).
+  uint64_t stamp = operand.is_literal
+                       ? kFixedStamp
+                       : binding_stamp_[static_cast<size_t>(operand.var)];
+  if (slot->stamp == stamp) return Status::Ok();
+  if (operand.is_literal) {
+    slot->text = operand.literal;
+    slot->values.assign(1, {0, operand.literal.size(), std::nullopt});
+  } else {
+    GCX_RETURN_IF_ERROR(ReadValues(operand.var, operand.path, slot));
+  }
+  for (ValueList::Value& value : slot->values) {
+    value.number = ParseNumber(slot->View(value));
+  }
+  slot->stamp = stamp;
+  return Status::Ok();
 }
 
-Status Evaluator::PathValues(VarId var, const RelativePath& path,
-                             std::vector<std::string>* out) {
+Status Evaluator::ReadValues(VarId var, const RelativePath& path,
+                             ValueList* out) {
   BufferNode* base = env_[static_cast<size_t>(var)];
   GCX_CHECK(base != nullptr);
   // General comparison / sum needs the complete match set; the matches
   // carry dos::node() roles, so everything needed is buffered once the
   // binding is finished.
   GCX_RETURN_IF_ERROR(ctx_->EnsureFinished(base));
-  std::vector<std::pair<BufferNode*, uint32_t>> matches;
-  CollectWithMultiplicity(base, path, 0, 1, &matches);
-  for (auto& [node, mult] : matches) {
-    (void)mult;
+  out->stamp = 0;
+  out->text.clear();
+  out->values.clear();
+  for (const auto& match : collector_.Collect(ctx_->tags(), base, path)) {
     // XPath string value: concatenated descendant text.
-    std::string value;
-    std::vector<const BufferNode*> stack;
-    stack.push_back(node);
-    while (!stack.empty()) {
-      const BufferNode* n = stack.back();
-      stack.pop_back();
-      if (n->is_text) value += n->text;
+    ValueList::Value value;
+    value.begin = out->text.size();
+    value_stack_.push_back(match.first);
+    while (!value_stack_.empty()) {
+      const BufferNode* n = value_stack_.back();
+      value_stack_.pop_back();
+      if (n->is_text) out->text += n->text;
       for (const BufferNode* c = n->last_child; c != nullptr;
            c = c->prev_sibling) {
-        stack.push_back(const_cast<BufferNode*>(c));
+        value_stack_.push_back(c);
       }
     }
-    out->push_back(std::move(value));
+    value.size = out->text.size() - value.begin;
+    out->values.push_back(value);
   }
   return Status::Ok();
 }
@@ -333,21 +388,15 @@ Result<bool> Evaluator::EvalCond(const Cond& cond) {
       return ExistsPath(base, cond.lhs.path, 0);
     }
     case CondKind::kCompare: {
-      std::vector<std::string> lhs;
-      std::vector<std::string> rhs;
-      if (cond.lhs.is_literal) {
-        lhs.push_back(cond.lhs.literal);
-      } else {
-        GCX_RETURN_IF_ERROR(OperandValues(cond.lhs, &lhs));
-      }
-      if (cond.rhs.is_literal) {
-        rhs.push_back(cond.rhs.literal);
-      } else {
-        GCX_RETURN_IF_ERROR(OperandValues(cond.rhs, &rhs));
-      }
-      for (const std::string& l : lhs) {
-        for (const std::string& r : rhs) {
-          if (CompareValues(l, cond.op, r)) return true;
+      OperandPair& slots = operand_cache_[&cond];
+      GCX_RETURN_IF_ERROR(LoadOperand(cond.lhs, &slots.lhs));
+      GCX_RETURN_IF_ERROR(LoadOperand(cond.rhs, &slots.rhs));
+      for (const ValueList::Value& l : slots.lhs.values) {
+        for (const ValueList::Value& r : slots.rhs.values) {
+          if (CompareParsed(slots.lhs.View(l), l.number, cond.op,
+                            slots.rhs.View(r), r.number)) {
+            return true;
+          }
         }
       }
       return false;

@@ -9,7 +9,10 @@
 #define GCX_EVAL_EVALUATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +43,34 @@ struct EvalOptions {
   /// writing text. Evaluation (including signoffs) is otherwise unchanged,
   /// so the Sec. 3 buffer invariants still hold.
   AggregateParts* aggregate_capture = nullptr;
+};
+
+/// Buffer-only path evaluation with match multiplicities (signOff
+/// semantics, Sec. 3): multiplicities mirror the DFA's role-assignment
+/// multiplicities so removals balance assignments exactly. Owns its result
+/// list and walk stack, so repeated collections do not allocate.
+class MatchCollector {
+ public:
+  using Matches = std::vector<std::pair<BufferNode*, uint32_t>>;
+
+  /// The nodes reachable from `base` via `path`, in first-reach order, each
+  /// with the number of contexts it is reached through. Valid until the
+  /// next call.
+  const Matches& Collect(const SymbolTable& tags, BufferNode* base,
+                         const RelativePath& path);
+
+ private:
+  void Walk(BufferNode* base, const RelativePath& path, size_t step_index,
+            uint32_t mult);
+
+  const SymbolTable* tags_ = nullptr;
+  /// Merge repeated targets. Only needed when the path has two or more
+  /// non-child steps: with at most one, every target is reached through
+  /// exactly one context (child steps fan out to disjoint children, and a
+  /// single descendant walk visits each node once).
+  bool merge_duplicates_ = false;
+  Matches out_;
+  std::vector<BufferNode*> stack_;  ///< shared by all recursion levels
 };
 
 /// One evaluation of one query over one input stream.
@@ -74,24 +105,51 @@ class Evaluator {
   Result<bool> ExistsPath(BufferNode* base, const RelativePath& path,
                           size_t step_index);
 
-  /// Collects the string values of an operand (pulls until the operand's
-  /// base binding is finished so the match set is complete).
-  Status OperandValues(const Operand& operand, std::vector<std::string>* out);
-  Status PathValues(VarId var, const RelativePath& path,
-                    std::vector<std::string>* out);
+  /// String values of one operand, stored without a heap block per value.
+  struct ValueList {
+    struct Value {
+      size_t begin = 0;  ///< offset into `text`
+      size_t size = 0;
+      std::optional<double> number;  ///< ParseNumber of the value
+    };
+    /// Binding stamp the values were read under; 0 = not loaded.
+    uint64_t stamp = 0;
+    std::string text;  ///< all values, concatenated
+    std::vector<Value> values;
 
-  /// Buffer-only path evaluation with match multiplicities (signOff
-  /// semantics, Sec. 3): multiplicities mirror the DFA's role-assignment
-  /// multiplicities so removals balance assignments exactly.
-  void CollectWithMultiplicity(BufferNode* base, const RelativePath& path,
-                               size_t step_index, uint32_t mult,
-                               std::vector<std::pair<BufferNode*, uint32_t>>* out);
+    std::string_view View(const Value& value) const {
+      return std::string_view(text).substr(value.begin, value.size);
+    }
+  };
+  struct OperandPair {
+    ValueList lhs;
+    ValueList rhs;
+  };
+
+  /// Makes `slot` hold `operand`'s values, parsed: a no-op when the slot
+  /// was loaded under the operand variable's current binding stamp.
+  Status LoadOperand(const Operand& operand, ValueList* slot);
+  /// Replaces `out`'s values with the string values of `path` from `var`'s
+  /// binding (pulls until the binding is finished so the match set is
+  /// complete). Leaves numbers unparsed.
+  Status ReadValues(VarId var, const RelativePath& path, ValueList* out);
 
   const AnalyzedQuery* query_;
   ExecContext* ctx_;
   XmlWriter* writer_;
   EvalOptions options_;
   std::vector<BufferNode*> env_;  ///< VarId → current binding
+  /// VarId → stamp of its current binding. EvalFor bumps it on every
+  /// assignment, so a stamp names one binding even when the node pool
+  /// hands a later binding the same address.
+  std::vector<uint64_t> binding_stamp_;
+  uint64_t last_stamp_ = 0;
+  /// Per-comparison operand values. Node-based, so a slot's address stays
+  /// put while both sides of one comparison are in use.
+  std::unordered_map<const Cond*, OperandPair> operand_cache_;
+  MatchCollector collector_;
+  ValueList sum_values_;
+  std::vector<const BufferNode*> value_stack_;
 };
 
 /// Compares two untyped values with XQuery-style general-comparison

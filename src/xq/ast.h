@@ -25,7 +25,8 @@ using VarId = int32_t;
 inline constexpr VarId kRootVar = 0;
 
 /// Dense role identifier (Sec. 2: "let roles be a finite set of elements").
-/// Role 0 is reserved by the buffer manager as the cursor-pin pseudo-role.
+/// Role 0 is reserved for cursor pins, which the buffer manager keeps as a
+/// per-node counter (BufferNode::pins) rather than a role entry.
 using RoleId = int32_t;
 inline constexpr RoleId kPinRole = 0;
 inline constexpr RoleId kInvalidRole = -1;

@@ -270,6 +270,30 @@ TEST_F(BufferTest, DumpRendersRolesAndState) {
   EXPECT_NE(dump.find("(open)"), std::string::npos);
 }
 
+TEST_F(BufferTest, PinsAreCountersOutsideTheRoleMultiset) {
+  BufferNode* a = Element(buffer_.root(), "a");
+  BufferNode* b = Element(a, "b");
+  buffer_.AddRole(b, 1, 1, false);
+  buffer_.RemoveRole(b, 1, 1);
+  ASSERT_TRUE(b->marked_deleted);  // unfinished and irrelevant
+  uint64_t bytes = buffer_.stats().bytes_current;
+  buffer_.Pin(b);
+  buffer_.Pin(b);
+  EXPECT_FALSE(b->marked_deleted);
+  EXPECT_EQ(b->RoleCount(kPinRole), 2u);
+  EXPECT_TRUE(b->roles.empty());
+  EXPECT_EQ(a->subtree_weight, 2u);
+  EXPECT_EQ(buffer_.stats().bytes_current, bytes);  // pins add no bytes
+  EXPECT_EQ(buffer_.live_role_instances(), 0u);
+  EXPECT_NE(buffer_.Dump(tags_).find("b{pin,pin}"), std::string::npos);
+  buffer_.Finish(b);
+  buffer_.Finish(a);
+  buffer_.Unpin(b);
+  EXPECT_EQ(buffer_.stats().nodes_current, 3u);  // still pinned once
+  buffer_.Unpin(b);
+  EXPECT_EQ(buffer_.stats().nodes_current, 1u);  // last unpin runs the GC
+}
+
 TEST_F(BufferTest, DeepChainPurgeIsComplete) {
   // A 100-deep chain with one role at the leaf collapses entirely.
   BufferNode* node = buffer_.root();

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -373,6 +374,14 @@ TEST(Strings, ParseNumberAccepts) {
   EXPECT_DOUBLE_EQ(*ParseNumber("  -3.5 "), -3.5);
   EXPECT_DOUBLE_EQ(*ParseNumber("1e3"), 1000.0);
   EXPECT_DOUBLE_EQ(*ParseNumber("0.0"), 0.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("+2"), 2.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("5."), 5.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("-1.25E-2"), -0.0125);
+  EXPECT_DOUBLE_EQ(*ParseNumber("\t7\n"), 7.0);
+  // Out of range keeps strtod's rounding.
+  EXPECT_TRUE(std::isinf(*ParseNumber("1e999")));
+  EXPECT_DOUBLE_EQ(*ParseNumber("1e-999"), 0.0);
 }
 
 TEST(Strings, ParseNumberRejects) {
@@ -381,6 +390,12 @@ TEST(Strings, ParseNumberRejects) {
   EXPECT_FALSE(ParseNumber("12abc").has_value());
   EXPECT_FALSE(ParseNumber("1 2").has_value());
   EXPECT_FALSE(ParseNumber("person0").has_value());
+  // Only the decimal form is a number; strtod's extensions are not.
+  for (const char* text : {"0x10", "0X1p3", "inf", "-Infinity", "INF", "nan",
+                           "NaN", "+nan", ".", "+", "-", "e5", "1e", "1e+",
+                           "1.2.3", "--1", "+-1", "1_000"}) {
+    EXPECT_FALSE(ParseNumber(text).has_value()) << text;
+  }
 }
 
 TEST(Strings, Join) {

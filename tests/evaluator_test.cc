@@ -4,13 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "buffer/buffer_tree.h"
+#include "common/prng.h"
 #include "common/strings.h"
 #include "core/engine.h"
 #include "eval/evaluator.h"
+#include "eval/exec_context.h"
 
 namespace gcx {
 namespace {
@@ -48,7 +55,12 @@ INSTANTIATE_TEST_SUITE_P(
         CompareCase{"numeric_ge", "4", RelOp::kGe, "3.5", true},
         CompareCase{"negative_numbers", "-2", RelOp::kLt, "-1", true},
         CompareCase{"empty_vs_empty", "", RelOp::kEq, "", true},
-        CompareCase{"empty_lt_any", "", RelOp::kLt, "a", true}),
+        CompareCase{"empty_lt_any", "", RelOp::kLt, "a", true},
+        CompareCase{"decimal_spellings", "10", RelOp::kEq, "10.0", true},
+        CompareCase{"hex_is_a_string", "0x10", RelOp::kEq, "16", false},
+        CompareCase{"hex_orders_bytewise", "0x10", RelOp::kLt, "1", true},
+        CompareCase{"inf_is_a_string", "inf", RelOp::kGt, "5", true},
+        CompareCase{"nan_is_a_string", "nan", RelOp::kEq, "nan", true}),
     [](const ::testing::TestParamInfo<CompareCase>& info) {
       return info.param.label;
     });
@@ -158,6 +170,245 @@ TEST(EvaluatorEdge, OutputPreservesMixedContentOrder) {
                  "<a><b>pre<i>mid</i>post</b></a>"),
             "<r><b>pre<i>mid</i>post</b></r>");
 }
+
+// --- operand value cache ---------------------------------------------------------
+
+std::string RunDom(std::string_view query, std::string_view doc) {
+  EngineOptions options;
+  options.mode = EngineMode::kNaiveDom;
+  auto compiled = CompiledQuery::Compile(query, options);
+  if (!compiled.ok()) {
+    ADD_FAILURE() << compiled.status().ToString();
+    return "";
+  }
+  Engine engine;
+  std::ostringstream out;
+  auto result = engine.Execute(*compiled, doc, &out);
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return "";
+  }
+  return out.str();
+}
+
+/// Forwards to a StreamExecContext and records, in order, every node that
+/// becomes the last child of the document element.
+class RecordingContext : public ExecContext {
+ public:
+  explicit RecordingContext(StreamExecContext* inner) : inner_(inner) {}
+
+  BufferTree& buffer() override { return inner_->buffer(); }
+  SymbolTable& tags() override { return inner_->tags(); }
+  Result<bool> Pull() override {
+    Result<bool> more = inner_->Pull();
+    BufferNode* doc = buffer().root()->first_child;
+    BufferNode* last = doc != nullptr ? doc->last_child : nullptr;
+    if (last != nullptr && (appended.empty() || appended.back() != last)) {
+      appended.push_back(last);
+    }
+    return more;
+  }
+
+  std::vector<const BufferNode*> appended;
+
+ private:
+  StreamExecContext* inner_;
+};
+
+TEST(OperandCache, RecycledBindingAddressSeesItsOwnValues) {
+  // Each <a> is purged before the next-but-one arrives, so the node pool
+  // hands later bindings the addresses of earlier ones. The inner
+  // comparison runs only for t = x bindings: a cache keyed by the binding's
+  // address would hand a recycled binding the values of the earlier one.
+  const char* query =
+      "<o>{ for $a in /r/a return if ($a/t = \"x\") then "
+      "(if ($a/k = \"1\") then <hit/> else <miss/>) else <skip/> }</o>";
+  std::string doc = "<r>";
+  std::string expected = "<o>";
+  for (int i = 0; i < 12; ++i) {
+    // The pool recycles with period 3 here (three live <a> at most: the
+    // binding, its successor and one being purged).
+    bool compared = i % 3 == 0;
+    bool hit = i % 2 == 0;
+    doc += std::string("<a><t>") + (compared ? "x" : "y") + "</t><k>" +
+           (hit ? "1" : "2") + "</k></a>";
+    expected += !compared ? "<skip></skip>"
+                : hit     ? "<hit></hit>"
+                          : "<miss></miss>";
+  }
+  doc += "</r>";
+  expected += "</o>";
+
+  auto compiled = CompiledQuery::Compile(query);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const AnalyzedQuery& analyzed = compiled->analyzed();
+  StreamExecContext stream(&analyzed.projection, &analyzed.roles,
+                           std::make_unique<StringSource>(doc),
+                           ScannerOptions{});
+  RecordingContext ctx(&stream);
+  std::ostringstream out;
+  {
+    XmlWriter writer(&out);
+    Evaluator evaluator(&analyzed, &ctx, &writer);
+    ASSERT_TRUE(evaluator.Run().ok());
+  }
+  EXPECT_EQ(out.str(), expected);
+  EXPECT_EQ(out.str(), RunDom(query, doc));
+  EXPECT_LT(stream.buffer().stats().nodes_peak, 16u);
+
+  // Successive bindings that reached the inner comparison did share an
+  // address, so the test exercises the recycling it is about.
+  ASSERT_EQ(ctx.appended.size(), 12u);
+  int recycled = 0;
+  for (size_t i = 3; i < 12; i += 3) {
+    recycled += ctx.appended[i] == ctx.appended[i - 3];
+  }
+  EXPECT_GT(recycled, 0);
+}
+
+TEST(OperandCache, InnerLoopInvariantOperandMatchesNaiveDom) {
+  // $p/id is fixed for the whole inner loop: loaded once per $p, it must
+  // still give the reference answer for every $t.
+  const char* query =
+      "<o>{ for $p in /s/p return <row>{ for $t in /s/t return "
+      "if ($t/ref = $p/id) then $t/v else () }</row> }</o>";
+  const char* doc =
+      "<s><p><id>1</id></p><p><id>2</id></p><p><id>3</id></p>"
+      "<t><ref>2</ref><v>a</v></t><t><ref>1</ref><v>b</v></t>"
+      "<t><ref>2.0</ref><v>c</v></t><t><v>d</v></t></s>";
+  std::string got = RunQ(query, doc);
+  EXPECT_EQ(got, RunDom(query, doc));
+  EXPECT_EQ(got,
+            "<o><row><v>b</v></row><row><v>a</v><v>c</v></row><row></row></o>");
+}
+
+TEST(OperandCache, MultiValuedOperandsAreExistential) {
+  // Some pair must satisfy the relation; "10" and "10.0" compare as
+  // numbers.
+  const char* query =
+      "<o>{ for $x in /s/x return for $y in /s/y return "
+      "if ($x/k = $y/k) then <m>{ ($x/n, $y/n) }</m> else () }</o>";
+  const char* doc =
+      "<s><x><n>x1</n><k>3</k><k>10</k></x><x><n>x2</n><k>4</k><k>5</k></x>"
+      "<y><n>y1</n><k>7</k><k>10.0</k></y><y><n>y2</n><k>5</k></y>"
+      "<y><n>y3</n></y></s>";
+  std::string got = RunQ(query, doc);
+  EXPECT_EQ(got, RunDom(query, doc));
+  EXPECT_EQ(got,
+            "<o><m><n>x1</n><n>y1</n></m><m><n>x2</n><n>y2</n></m></o>");
+}
+
+// --- MatchCollector ------------------------------------------------------------------
+
+using MatchList = std::vector<std::pair<BufferNode*, uint32_t>>;
+
+/// Reference: every target is looked up in the list collected so far.
+void ScanningCollect(const SymbolTable& tags, BufferNode* base,
+                     const RelativePath& path, size_t step_index,
+                     uint32_t mult, MatchList* out) {
+  if (step_index == path.steps.size()) {
+    for (auto& entry : *out) {
+      if (entry.first == base) {
+        entry.second += mult;
+        return;
+      }
+    }
+    out->push_back({base, mult});
+    return;
+  }
+  const Step& step = path.steps[step_index];
+  auto matches = [&](const BufferNode* n) {
+    if (n->marked_deleted) return false;
+    if (n->is_text) return step.test.MatchesText();
+    if (n->parent == nullptr) return step.test.kind == NodeTestKind::kAnyNode;
+    return step.test.MatchesElement(tags.Name(n->tag));
+  };
+  bool first_only = step.predicate == StepPredicate::kFirst;
+  if (step.axis == Axis::kChild) {
+    for (BufferNode* c = base->first_child; c != nullptr; c = c->next_sibling) {
+      if (!matches(c)) continue;
+      ScanningCollect(tags, c, path, step_index + 1, mult, out);
+      if (first_only) return;
+    }
+    return;
+  }
+  // Descendant axes, recursively in document order.
+  bool done = false;
+  auto visit = [&](auto&& self, BufferNode* n) -> void {
+    for (BufferNode* c = n->first_child; c != nullptr && !done;
+         c = c->next_sibling) {
+      if (c->marked_deleted) continue;
+      if (matches(c)) {
+        ScanningCollect(tags, c, path, step_index + 1, mult, out);
+        if (first_only) {
+          done = true;
+          return;
+        }
+      }
+      self(self, c);
+    }
+  };
+  if (step.axis == Axis::kDescendantOrSelf && matches(base)) {
+    ScanningCollect(tags, base, path, step_index + 1, mult, out);
+    if (first_only) return;
+  }
+  visit(visit, base);
+}
+
+class CollectProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CollectProperty, MatchesTheScanningReference) {
+  Prng rng(GetParam() * 0x9e3779b9u + 7);
+  SymbolTable tags;
+  const char* names[] = {"a", "b", "c"};
+  for (const char* name : names) tags.Intern(name);
+  BufferTree tree;
+  std::vector<BufferNode*> elements = {tree.root()};
+  for (int i = 0; i < 60; ++i) {
+    BufferNode* parent = elements[rng.Below(elements.size())];
+    if (rng.Chance(200)) {
+      tree.AppendText(parent, "t");
+      continue;
+    }
+    BufferNode* node =
+        tree.AppendElement(parent, tags.Intern(names[rng.Below(3)]));
+    node->marked_deleted = rng.Chance(50);
+    elements.push_back(node);
+  }
+
+  MatchCollector collector;
+  for (int trial = 0; trial < 40; ++trial) {
+    RelativePath path;
+    int steps = static_cast<int>(rng.Between(1, 4));
+    for (int i = 0; i < steps; ++i) {
+      Step step;
+      step.axis = static_cast<Axis>(rng.Below(3));
+      switch (rng.Below(6)) {
+        case 0:
+          step.test = NodeTest::Star();
+          break;
+        case 1:
+          step.test = NodeTest::Text();
+          break;
+        case 2:
+          step.test = NodeTest::AnyNode();
+          break;
+        default:
+          step.test = NodeTest::Tag(names[rng.Below(3)]);
+      }
+      if (rng.Chance(150)) step.predicate = StepPredicate::kFirst;
+      path.steps.push_back(step);
+    }
+    BufferNode* base = elements[rng.Below(elements.size())];
+    MatchList expected;
+    ScanningCollect(tags, base, path, 0, 1, &expected);
+    EXPECT_EQ(collector.Collect(tags, base, path), expected)
+        << path.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CollectProperty,
+                         ::testing::Range<uint64_t>(0, 50));
 
 }  // namespace
 }  // namespace gcx
