@@ -162,7 +162,10 @@ struct AdmissionStats {
   uint64_t splits_by_memory = 0;  ///< batch cuts forced by the event budget
   uint64_t replay_log_peak_observed = 0;  ///< max over all executed batches
   /// Adaptive memory model: max observed replay-log events per batched
-  /// query (0 until the first multi-query batch ran).
+  /// query (0 until the first batch ran). A pollable singleton's run is a
+  /// one-query batch whose log retains its whole projected stream, so its
+  /// peak is a real observation like any other batch's; an always-ready
+  /// singleton runs solo, keeps no replay log, and is not observed.
   uint64_t events_per_query_estimate = 0;
   /// Scheduler counters. batches_parked: transitions into the parked
   /// state (a batch observed would-block). batch_resumes: times a parked

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <future>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -15,12 +13,12 @@
 #include <vector>
 
 #include "analysis/shard_classifier.h"
-#include "common/arena.h"
 #include "common/budget.h"
 #include "common/symbol_table.h"
 #include "common/thread_pool.h"
 #include "core/dom_engine.h"
 #include "core/event_filter.h"
+#include "core/replay_log.h"
 #include "core/shard.h"
 #include "core/stats_publish.h"
 #include "eval/evaluator.h"
@@ -35,82 +33,106 @@ namespace {
 
 class SharedScanDemux;
 
-/// One query's slice of a batch: its own buffer and projector (identical to
-/// a solo StreamExecContext), pulling through the shared demultiplexer
-/// instead of a private scanner. The tag table is the batch's shared one:
-/// the scanner interns each tag exactly once and every per-query DFA and
-/// buffer consumes the shared TagIds.
-class BatchQueryContext final : public ExecContext {
+/// One query's pipeline in a batched or sharded run: its own buffer and
+/// projector (identical to a solo StreamExecContext), fed from a replay log
+/// instead of a private scanner. The source is either
+///   * the shared scan of a batch (SharedScanDemux), which advances the one
+///     scanner whenever this query reaches the head of its log; or
+///   * spans of finished shard logs, followed by end-of-document — by then
+///     every shard has been scanned, so a pull can never stall.
+/// The tag table is the batch's shared one: the scanner interns each tag
+/// exactly once and every per-query DFA and buffer consumes the shared
+/// TagIds.
+class ReplayContext final : public ExecContext {
  public:
-  BatchQueryContext(const AnalyzedQuery* query, SymbolTable* tags,
-                    SharedScanDemux* demux)
-      : tags_(tags),
+  /// The log positions [begin, end) of one finished log.
+  struct Span {
+    const ReplayLog* log = nullptr;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+
+  ReplayContext(const AnalyzedQuery* query, const EngineOptions& options,
+                SymbolTable* tags, RunGovernor* governor,
+                SharedScanDemux* demux, std::vector<Span> spans = {})
+      : query_(query),
+        options_(options),
+        tags_(tags),
         projector_(&query->projection, &query->roles, tags,
                    /*scanner=*/nullptr, &buffer_),
-        demux_(demux) {}
+        governor_(governor),
+        demux_(demux),
+        spans_(std::move(spans)) {
+    if (!options.enable_gc ||
+        options.mode == EngineMode::kMaterializedProjection) {
+      buffer_.set_gc_enabled(false);
+    }
+    if (!spans_.empty()) position = spans_.front().begin;
+  }
 
-  ~BatchQueryContext() override;
+  ~ReplayContext() override {
+    if (governor_ != nullptr) governor_->ReleaseArenaBytes(&arena_lease_);
+  }
+
+  ReplayContext(const ReplayContext&) = delete;
+  ReplayContext& operator=(const ReplayContext&) = delete;
 
   BufferTree& buffer() override { return buffer_; }
   SymbolTable& tags() override { return *tags_; }
   Result<bool> Pull() override;
 
+  const AnalyzedQuery& query() const { return *query_; }
+  const EngineOptions& options() const { return options_; }
   StreamProjector& projector() { return projector_; }
+  RunGovernor* governor() const { return governor_; }
 
-  /// Next event index in the shared stream (replay-log position).
+  /// Marks this query finished: a demux stops retaining its log tail.
+  void Detach();
+
+  /// Next log position to deliver (in the demux log, or in the current
+  /// span's log).
   uint64_t position = 0;
   /// Set once this query's evaluation completed: its buffer is frozen and
-  /// its position no longer retains the log tail.
+  /// its position no longer retains the demux log tail.
   bool detached = false;
 
  private:
+  Result<bool> PullFromSpans();
+
+  const AnalyzedQuery* query_;
+  const EngineOptions& options_;
   SymbolTable* tags_;
   BufferTree buffer_;
   StreamProjector projector_;
+  RunGovernor* governor_;
   SharedScanDemux* demux_;
+  std::vector<Span> spans_;
+  size_t span_ = 0;  ///< index of the span `position` is in
   /// This context's contribution to the governor's arena ledger (the
   /// query's buffered tree bytes). Released on destruction.
   uint64_t arena_lease_ = 0;
 };
 
-/// Owns the single scanner, the merged-DFA prefilter and the replay log.
-/// The log stores events as (kind, tag, arena view): the scanner's text
-/// views are only valid until its next event, so surviving payloads are
-/// copied once into an arena and released as every query replays past them
-/// (FIFO, so chunks recycle front-first).
+/// Owns the single scanner, the merged-DFA prefilter and the replay log of
+/// one batch. Events every still-active query has replayed are trimmed
+/// from the log's front.
 class SharedScanDemux {
  public:
   SharedScanDemux(std::unique_ptr<ByteSource> input,
                   ScannerOptions scanner_options, SymbolTable* tags,
-                  const std::vector<MergedDfaInput>& inputs)
+                  const std::vector<MergedDfaInput>& inputs,
+                  RunGovernor* governor)
       : scanner_(std::move(input), scanner_options, tags),
         merged_(inputs, tags),
-        filter_(&merged_) {}
-
-  ~SharedScanDemux() {
-    if (governor_ != nullptr) {
-      governor_->ReleaseArenaBytes(&arena_lease_);
-      governor_->ReleaseReplayEvents(&replay_lease_);
-    }
+        filter_(&merged_),
+        governor_(governor) {
+    log_.set_governor(governor);
   }
 
-  void Register(BatchQueryContext* ctx) { subscribers_.push_back(ctx); }
-
-  /// Installs the run's resource governor: every pumped event becomes a
-  /// cooperative checkpoint, and the replay log/arena charge its ledgers.
-  void set_governor(RunGovernor* governor) { governor_ = governor; }
-  RunGovernor* governor() const { return governor_; }
-
-  /// Solo-batch mode: deliver every appended event to `ctx` immediately
-  /// during the pump instead of retaining it for later replay. With one
-  /// subscriber there is no second consumer the log could serve, so eager
-  /// delivery keeps the replay log/arena at O(1) instead of O(document)
-  /// while the pump-then-evaluate control flow of MultiQueryRun buffers
-  /// the whole stream.
-  void set_solo_drain(BatchQueryContext* ctx) { solo_drain_ = ctx; }
+  void Register(ReplayContext* ctx) { subscribers_.push_back(ctx); }
 
   /// Marks `ctx` finished; its log position stops pinning the tail.
-  void Detach(BatchQueryContext* ctx) {
+  void Detach(ReplayContext* ctx) {
     ctx->detached = true;
     Trim();
   }
@@ -119,57 +141,52 @@ class SharedScanDemux {
   /// `ctx` is at the head of the log. Returns false once `ctx`'s projector
   /// has consumed the end-of-document event; returns WouldBlockStatus()
   /// (with nothing delivered) when advancing the scanner stalled.
-  Result<bool> PullFor(BatchQueryContext* ctx) {
+  Result<bool> PullFor(ReplayContext* ctx) {
     StreamProjector& projector = ctx->projector();
     if (projector.done()) return false;
-    if (ctx->position == log_base_ + log_.size()) {
+    if (ctx->position == log_.end()) {
       // At the head and not done: end-of-document cannot be in the log yet.
       GCX_CHECK(!scan_done_);
       GCX_ASSIGN_OR_RETURN(PumpState pumped, PumpOne());
       if (pumped == PumpState::kStalled) return WouldBlockStatus();
     }
-    bool at_front = ctx->position == log_base_;
-    Result<bool> more = DeliverNext(ctx);
+    bool at_front = ctx->position == log_.begin();
+    ++events_demuxed_;
+    Result<bool> more = projector.ProcessEvent(log_.At(ctx->position++));
     // Only the consumer of the front entry can advance the trim point;
     // checking every subscriber on every delivery would be O(N²) per scan.
     if (at_front) Trim();
     return more;
   }
 
-  XmlScanner& scanner() { return scanner_; }
-  MergedDfa& merged() { return merged_; }
-  SharedScanStats stats() const {
-    SharedScanStats stats = stats_;
-    stats.events_shared_skipped = filter_.events_skipped();
-    stats.shared_subtrees_skipped = filter_.subtrees_skipped();
-    return stats;
-  }
-  bool scan_done() const { return scan_done_; }
-
   /// Pump-while-ready driver: advances the scan until the source stalls or
-  /// the end-of-document event enters the log. Never blocks. In solo-drain
-  /// mode every surviving event is handed to the single subscriber as soon
-  /// as it is appended, so the log is trimmed continuously instead of
-  /// retaining the whole union-projected stream.
+  /// the end-of-document event enters the log. Never blocks.
   Result<PumpState> PumpUntilStalledOrDone() {
     while (true) {
       GCX_ASSIGN_OR_RETURN(PumpState state, PumpOne());
-      if (solo_drain_ != nullptr && state != PumpState::kStalled) {
-        GCX_RETURN_IF_ERROR(DrainSolo());
-      }
       if (state != PumpState::kEvent) return state;
     }
   }
 
- private:
-  /// One replay-log entry. Text lives in `arena_` until trimmed.
-  struct LogEvent {
-    XmlEvent::Kind kind = XmlEvent::Kind::kEndOfDocument;
-    TagId tag = kInvalidTag;
-    std::string_view text;
-    uint32_t chunk = ByteArena::kNullChunk;
-  };
+  int ReadyFd() const { return scanner_.ReadyFd(); }
 
+  SharedScanStats stats() const {
+    SharedScanStats stats;
+    stats.scan_passes = 1;
+    stats.bytes_scanned = scanner_.bytes_consumed();
+    stats.events_scanned = events_scanned_;
+    stats.events_forwarded = log_.end();
+    stats.events_shared_skipped = filter_.events_skipped();
+    stats.shared_subtrees_skipped = filter_.subtrees_skipped();
+    stats.events_demuxed = events_demuxed_;
+    stats.merged_dfa_states = merged_.num_states();
+    stats.replay_log_peak = log_.peak_events();
+    stats.replay_arena_peak_bytes = log_.arena_peak_bytes();
+    stats.stalls = stalls_;
+    return stats;
+  }
+
+ private:
   /// Reads scanner events until one survives the prefilter into the log
   /// (kEvent), the scan completes (kDone), or the source stalls (kStalled —
   /// the scanner rewound to the event boundary and the filter state,
@@ -183,230 +200,100 @@ class SharedScanDemux {
       XmlEvent event;
       Status next = scanner_.Next(&event);
       if (IsWouldBlock(next)) {
-        ++stats_.stalls;
+        ++stalls_;
         return PumpState::kStalled;
       }
       GCX_RETURN_IF_ERROR(next);
-      ++stats_.events_scanned;
+      ++events_scanned_;
       GCX_ASSIGN_OR_RETURN(ProjectedEventFilter::Action action,
                            filter_.Apply(event));
       if (action == ProjectedEventFilter::Action::kSkip) continue;
-      if (event.kind == XmlEvent::Kind::kEndOfDocument) {
-        scan_done_ = true;
-        stats_.bytes_scanned = scanner_.bytes_consumed();
-        GCX_RETURN_IF_ERROR(Append(event));
-        return PumpState::kDone;
+      GCX_RETURN_IF_ERROR(log_.Append(event));
+      if (event.kind != XmlEvent::Kind::kEndOfDocument) {
+        return PumpState::kEvent;
       }
-      GCX_RETURN_IF_ERROR(Append(event));
-      return PumpState::kEvent;
+      scan_done_ = true;
+      return PumpState::kDone;
     }
-  }
-
-  /// Delivers the log entry at `ctx`'s position to its projector and
-  /// advances the position. The caller is responsible for trimming.
-  Result<bool> DeliverNext(BatchQueryContext* ctx) {
-    const LogEvent& entry =
-        log_[static_cast<size_t>(ctx->position - log_base_)];
-    XmlEvent event;
-    event.kind = entry.kind;
-    event.tag = entry.tag;
-    event.text = entry.text;
-    // event.tags stays null: demuxed consumers work on the TagId.
-    ++ctx->position;
-    ++stats_.events_demuxed;
-    return ctx->projector().ProcessEvent(event);
-  }
-
-  /// Feeds the solo subscriber everything the log holds beyond its
-  /// position, then trims — with one consumer the log never needs to
-  /// retain a replayed entry. A projector that finished early (its
-  /// projection was exhausted) just skips past the remainder so the tail
-  /// still gets released.
-  Status DrainSolo() {
-    BatchQueryContext* ctx = solo_drain_;
-    while (ctx->position < log_base_ + log_.size()) {
-      if (ctx->detached || ctx->projector().done()) {
-        ++ctx->position;
-        continue;
-      }
-      GCX_RETURN_IF_ERROR(DeliverNext(ctx).status());
-    }
-    Trim();
-    return Status::Ok();
-  }
-
-  Status Append(const XmlEvent& event) {
-    LogEvent entry;
-    entry.kind = event.kind;
-    entry.tag = event.tag;
-    if (!event.text.empty()) {
-      // The checked append is byte-identical to Append unless the fault
-      // harness armed the ArenaFaultInjector, in which case the injected
-      // allocation failure surfaces as a typed resource error (first-wins
-      // through the governor so every worker reports the same status).
-      if (!arena_.AppendChecked(event.text, &entry.text, &entry.chunk)) {
-        Status failed = ResourceExhaustedError(
-            "replay arena allocation failed (injected fault)");
-        return governor_ != nullptr ? governor_->TripExternal(std::move(failed))
-                                    : failed;
-      }
-    }
-    log_.push_back(entry);
-    ++stats_.events_forwarded;
-    stats_.replay_log_peak =
-        std::max<uint64_t>(stats_.replay_log_peak, log_.size());
-    stats_.replay_arena_peak_bytes = arena_.stats().bytes_peak;
-    if (governor_ != nullptr) {
-      GCX_RETURN_IF_ERROR(
-          governor_->UpdateArenaBytes(&arena_lease_, arena_.stats().bytes_live));
-      GCX_RETURN_IF_ERROR(
-          governor_->UpdateReplayEvents(&replay_lease_, log_.size()));
-    }
-    return Status::Ok();
   }
 
   /// Drops log entries every still-active query has already replayed.
   void Trim() {
-    uint64_t min_pos = std::numeric_limits<uint64_t>::max();
-    bool any_active = false;
-    for (const BatchQueryContext* sub : subscribers_) {
-      if (sub->detached) continue;
-      any_active = true;
-      min_pos = std::min(min_pos, sub->position);
+    uint64_t min_pos = log_.end();
+    for (const ReplayContext* sub : subscribers_) {
+      if (!sub->detached) min_pos = std::min(min_pos, sub->position);
     }
-    if (!any_active) min_pos = log_base_ + log_.size();
-    while (log_base_ < min_pos && !log_.empty()) {
-      arena_.Release(log_.front().chunk, log_.front().text.size());
-      log_.pop_front();
-      ++log_base_;
-    }
-    if (governor_ != nullptr) {
-      // Shrinking contributions can never newly trip a ledger; the statuses
-      // are discarded so Trim stays infallible for its callers.
-      (void)governor_->UpdateArenaBytes(&arena_lease_,
-                                        arena_.stats().bytes_live);
-      (void)governor_->UpdateReplayEvents(&replay_lease_, log_.size());
-    }
+    log_.TrimTo(min_pos);
   }
 
   XmlScanner scanner_;
   MergedDfa merged_;
   ProjectedEventFilter filter_;
-  ByteArena arena_;
-  std::deque<LogEvent> log_;
-  uint64_t log_base_ = 0;  ///< global index of log_.front()
+  RunGovernor* governor_;
+  ReplayLog log_;
   bool scan_done_ = false;
-  std::vector<BatchQueryContext*> subscribers_;
-  BatchQueryContext* solo_drain_ = nullptr;
-  SharedScanStats stats_;
-  RunGovernor* governor_ = nullptr;
-  uint64_t arena_lease_ = 0;    ///< ledger cursor: live replay-arena bytes
-  uint64_t replay_lease_ = 0;   ///< ledger cursor: buffered log events
+  std::vector<ReplayContext*> subscribers_;
+  uint64_t events_scanned_ = 0;
+  uint64_t events_demuxed_ = 0;
+  uint64_t stalls_ = 0;
 };
 
-BatchQueryContext::~BatchQueryContext() {
-  if (demux_->governor() != nullptr) {
-    demux_->governor()->ReleaseArenaBytes(&arena_lease_);
-  }
+void ReplayContext::Detach() {
+  if (demux_ != nullptr) demux_->Detach(this);
 }
 
-Result<bool> BatchQueryContext::Pull() {
-  // The synchronous Execute path cannot suspend its evaluator, so a stall
-  // becomes a readiness wait + retry (PullFor delivered nothing and the
-  // scanner rewound, so the retry is exact). The resumable MultiQueryRun
-  // reaches this only after the scan completed, when PullFor can never
-  // stall.
-  RunGovernor* governor = demux_->governor();
+Result<bool> ReplayContext::Pull() {
+  // The evaluator cannot suspend, so a demux stall becomes a readiness
+  // wait + retry (PullFor delivered nothing and the scanner rewound, so the
+  // retry is exact). MultiQueryRun evaluates only after its scan
+  // completed, and shard spans are finished logs: neither can stall.
   while (true) {
-    if (governor != nullptr) {
-      GCX_RETURN_IF_ERROR(governor->CheckAll());
-      GCX_RETURN_IF_ERROR(governor->UpdateArenaBytes(
-          &arena_lease_, buffer_.stats().bytes_current));
-    }
-    Result<bool> more = demux_->PullFor(this);
-    if (more.ok() || !IsWouldBlock(more.status())) return more;
-    WaitReadable(demux_->scanner().ReadyFd(),
-                 governor != nullptr ? governor->BoundedWaitMs(-1) : -1);
-    if (governor != nullptr) {
-      // The wait may have ended on the deadline, not on data: force a
-      // clocked check so a stalled source cannot spin past the deadline.
-      GCX_RETURN_IF_ERROR(governor->CheckAll(/*force_clock=*/true));
-    }
-  }
-}
-
-/// One query's pipeline over the merged shard stream: same shape as
-/// BatchQueryContext, but Pull() replays a fully materialized, document-
-/// ordered event vector instead of advancing a live scan — by the time
-/// evaluation starts every shard has been scanned, merged and index-
-/// filtered, so a pull can never stall. The events view the per-shard
-/// arenas, which the sharded executor keeps alive until the batch is done.
-class ShardReplayContext final : public ExecContext {
- public:
-  ShardReplayContext(const AnalyzedQuery* query, SymbolTable* tags,
-                     const std::vector<XmlEvent>* events,
-                     RunGovernor* governor = nullptr)
-      : tags_(tags),
-        projector_(&query->projection, &query->roles, tags,
-                   /*scanner=*/nullptr, &buffer_),
-        events_(events),
-        governor_(governor) {}
-
-  ~ShardReplayContext() override {
-    if (governor_ != nullptr) governor_->ReleaseArenaBytes(&arena_lease_);
-  }
-
-  BufferTree& buffer() override { return buffer_; }
-  SymbolTable& tags() override { return *tags_; }
-  Result<bool> Pull() override {
     if (governor_ != nullptr) {
       GCX_RETURN_IF_ERROR(governor_->CheckAll());
       GCX_RETURN_IF_ERROR(governor_->UpdateArenaBytes(
           &arena_lease_, buffer_.stats().bytes_current));
     }
-    if (projector_.done()) return false;
-    // The merged stream always ends with end-of-document, and the
-    // projector reports done() after consuming it, so position_ cannot
-    // run past the end.
-    GCX_CHECK(position_ < events_->size());
-    return projector_.ProcessEvent((*events_)[position_++]);
+    Result<bool> more = demux_ != nullptr ? demux_->PullFor(this)
+                                          : PullFromSpans();
+    if (more.ok() || !IsWouldBlock(more.status())) return more;
+    WaitReadable(demux_->ReadyFd(),
+                 governor_ != nullptr ? governor_->BoundedWaitMs(-1) : -1);
+    if (governor_ != nullptr) {
+      // The wait may have ended on the deadline, not on data: force a
+      // clocked check so a stalled source cannot spin past the deadline.
+      GCX_RETURN_IF_ERROR(governor_->CheckAll(/*force_clock=*/true));
+    }
   }
+}
 
-  StreamProjector& projector() { return projector_; }
+Result<bool> ReplayContext::PullFromSpans() {
+  if (projector_.done()) return false;
+  while (span_ < spans_.size() && position == spans_[span_].end) {
+    if (++span_ < spans_.size()) position = spans_[span_].begin;
+  }
+  // Past the last span: the default event is end-of-document, after which
+  // the projector reports done().
+  XmlEvent event;
+  if (span_ < spans_.size()) event = spans_[span_].log->At(position++);
+  return projector_.ProcessEvent(event);
+}
 
- private:
-  SymbolTable* tags_;
-  BufferTree buffer_;
-  StreamProjector projector_;
-  const std::vector<XmlEvent>* events_;
-  size_t position_ = 0;
-  RunGovernor* governor_ = nullptr;
-  uint64_t arena_lease_ = 0;
-};
-
-/// Evaluates one analyzed query to completion (materialized-projection
-/// pre-pull, evaluator run, detach, per-query stats). Shared between the
-/// synchronous Execute path, the resumable MultiQueryRun and the sharded
-/// executor: `ctx` is a BatchQueryContext or a ShardReplayContext (same
-/// buffer()/projector()/Pull() surface) and `detach` tells the event source
-/// this query stopped consuming (demux trim; no-op for the merged shard
-/// stream, which is dropped wholesale after the batch). `analyzed` is a
-/// full compiled query or one shard-local query segment; `capture`, when
+/// Evaluates one query to completion (materialized-projection pre-pull,
+/// evaluator run, detach, per-query stats). Shared between the batch
+/// (Execute and MultiQueryRun) and the sharded executor. `ctx`'s query is
+/// a full compiled query or one shard-local query segment; `capture`, when
 /// set, diverts a root-rooted aggregate's result into partials
 /// (eval/evaluator.h) for cross-shard combination.
-template <typename Context, typename DetachFn>
-Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
-                              const EngineOptions& options, Context& ctx,
-                              DetachFn&& detach, std::ostream* out,
-                              EngineMode mode,
+Result<ExecStats> EvaluateOne(ReplayContext& ctx, std::ostream* out,
                               AggregateParts* capture = nullptr,
-                              RunGovernor* governor = nullptr,
                               bool charge_output = true) {
   auto start = std::chrono::steady_clock::now();
+  const EngineMode mode = ctx.options().mode;
+  RunGovernor* governor = ctx.governor();
 
   if (mode == EngineMode::kMaterializedProjection) {
     // Static projection: materialize this query's projected document
-    // completely (replaying the shared log), then evaluate on it.
+    // completely (replaying the log), then evaluate on it.
     while (true) {
       GCX_ASSIGN_OR_RETURN(bool more, ctx.Pull());
       if (!more) break;
@@ -420,9 +307,9 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
   if (charge_output && governor != nullptr) writer.set_governor(governor);
   EvalOptions eval_options;
   eval_options.execute_signoffs =
-      options.enable_gc && mode == EngineMode::kStreaming;
+      ctx.options().enable_gc && mode == EngineMode::kStreaming;
   eval_options.aggregate_capture = capture;
-  Evaluator evaluator(&analyzed, &ctx, &writer, eval_options);
+  Evaluator evaluator(&ctx.query(), &ctx, &writer, eval_options);
   GCX_RETURN_IF_ERROR(evaluator.Run());
   if (governor != nullptr) {
     // Final checkpoint: an output landing exactly on the cap passes, one
@@ -432,7 +319,7 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
   }
   // Freeze this query's pipeline exactly where a solo run would have
   // stopped pulling; later queries continue the shared scan without it.
-  detach();
+  ctx.Detach();
 
   ExecStats stats;
   stats.buffer = ctx.buffer().stats();
@@ -454,6 +341,68 @@ Result<ExecStats> EvaluateOne(const AnalyzedQuery& analyzed,
   }
   return stats;
 }
+
+std::vector<MergedDfaInput> DfaInputs(
+    const std::vector<const CompiledQuery*>& queries) {
+  std::vector<MergedDfaInput> inputs;
+  for (const CompiledQuery* query : queries) {
+    inputs.push_back({&query->analyzed().projection, &query->analyzed().roles});
+  }
+  return inputs;
+}
+
+MergedProjectionStats BatchProjection(
+    const std::vector<const CompiledQuery*>& queries) {
+  std::vector<const ProjectionTree*> trees;
+  for (const CompiledQuery* query : queries) {
+    trees.push_back(&query->analyzed().projection);
+  }
+  return SummarizeMergedProjection(trees);
+}
+
+/// A streaming batch: one shared scan and one ReplayContext per query. The
+/// pull-driven MultiQueryEngine::Execute evaluates right away (whoever
+/// reaches the log head advances the scan); MultiQueryRun pumps the scan
+/// to completion first and then evaluates.
+class StreamingBatch {
+ public:
+  StreamingBatch(std::vector<const CompiledQuery*> queries,
+                 std::unique_ptr<ByteSource> input, RunGovernor* governor)
+      : queries_(std::move(queries)),
+        demux_(std::move(input), queries_.front()->options().scanner, &tags_,
+               DfaInputs(queries_), governor) {
+    contexts_.reserve(queries_.size());
+    for (const CompiledQuery* query : queries_) {
+      contexts_.push_back(std::make_unique<ReplayContext>(
+          &query->analyzed(), query->options(), &tags_, governor, &demux_));
+      demux_.Register(contexts_.back().get());
+    }
+  }
+
+  SharedScanDemux& demux() { return demux_; }
+
+  /// Evaluates every query in batch order, query i writing to `*outs[i]`,
+  /// and publishes the batch's metrics.
+  Result<MultiQueryStats> Evaluate(const std::vector<std::ostream*>& outs) {
+    MultiQueryStats result;
+    result.projection = BatchProjection(queries_);
+    for (size_t i = 0; i < contexts_.size(); ++i) {
+      GCX_ASSIGN_OR_RETURN(ExecStats stats, EvaluateOne(*contexts_[i], outs[i]));
+      result.per_query.push_back(stats);
+    }
+    result.shared = demux_.stats();
+    PublishMultiQueryStats(result, GlobalMetrics(), &queries_);
+    return result;
+  }
+
+ private:
+  std::vector<const CompiledQuery*> queries_;
+  // One tag table for the whole batch: the scanner interns each element
+  // name once, and every per-query DFA/buffer consumes the shared ids.
+  SymbolTable tags_;
+  SharedScanDemux demux_;
+  std::vector<std::unique_ptr<ReplayContext>> contexts_;
+};
 
 Status ValidateBatch(const std::vector<const CompiledQuery*>& queries,
                      const std::vector<std::ostream*>& outs) {
@@ -508,66 +457,13 @@ Result<MultiQueryStats> MultiQueryEngine::Execute(
     std::unique_ptr<ByteSource> input,
     const std::vector<std::ostream*>& outs) const {
   GCX_RETURN_IF_ERROR(ValidateBatch(queries, outs));
-  Result<MultiQueryStats> result =
-      queries.front()->options().mode == EngineMode::kNaiveDom
-          ? ExecuteDomBatch(queries, std::move(input), outs)
-          : ExecuteStreamingBatch(queries, std::move(input), outs);
-  if (result.ok()) {
-    PublishMultiQueryStats(result.value(), GlobalMetrics(), &queries);
+  if (queries.front()->options().mode == EngineMode::kNaiveDom) {
+    return ExecuteDomBatch(queries, std::move(input), outs);
   }
-  return result;
-}
-
-Result<MultiQueryStats> MultiQueryEngine::ExecuteStreamingBatch(
-    const std::vector<const CompiledQuery*>& queries,
-    std::unique_ptr<ByteSource> input,
-    const std::vector<std::ostream*>& outs) const {
-  const EngineMode mode = queries.front()->options().mode;
-
-  std::vector<MergedDfaInput> dfa_inputs;
-  std::vector<const ProjectionTree*> trees;
-  for (const CompiledQuery* query : queries) {
-    dfa_inputs.push_back(
-        {&query->analyzed().projection, &query->analyzed().roles});
-    trees.push_back(&query->analyzed().projection);
-  }
-  // One tag table for the whole batch: the scanner interns each element
-  // name once, and every per-query DFA/buffer consumes the shared ids.
-  SymbolTable tags;
-  SharedScanDemux demux(std::move(input), queries.front()->options().scanner,
-                        &tags, dfa_inputs);
-  demux.set_governor(governor_);
-
-  std::vector<std::unique_ptr<BatchQueryContext>> contexts;
-  contexts.reserve(queries.size());
-  for (const CompiledQuery* query : queries) {
-    auto ctx =
-        std::make_unique<BatchQueryContext>(&query->analyzed(), &tags, &demux);
-    if (!query->options().enable_gc ||
-        mode == EngineMode::kMaterializedProjection) {
-      ctx->buffer().set_gc_enabled(false);
-    }
-    demux.Register(ctx.get());
-    contexts.push_back(std::move(ctx));
-  }
-
-  MultiQueryStats result;
-  result.projection = SummarizeMergedProjection(trees);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    BatchQueryContext* ctx = contexts[i].get();
-    GCX_ASSIGN_OR_RETURN(
-        ExecStats stats,
-        EvaluateOne(queries[i]->analyzed(), queries[i]->options(), *ctx,
-                    [&demux, ctx] { demux.Detach(ctx); }, outs[i], mode,
-                    /*capture=*/nullptr, governor_));
-    result.per_query.push_back(stats);
-  }
-
-  result.shared = demux.stats();
-  result.shared.scan_passes = 1;
-  result.shared.bytes_scanned = demux.scanner().bytes_consumed();
-  result.shared.merged_dfa_states = demux.merged().num_states();
-  return result;
+  // Pull-driven for every N: evaluator 1 advances the scan one event per
+  // pull; evaluators behind it replay what the log retained for them.
+  StreamingBatch batch(queries, std::move(input), governor_);
+  return batch.Evaluate(outs);
 }
 
 namespace {
@@ -611,7 +507,6 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
   if (queries.front()->options().mode == EngineMode::kNaiveDom) {
     return Execute(queries, input, outs);  // one DOM parse; nothing to shard
   }
-  const EngineMode mode = queries.front()->options().mode;
 
   // Classify each query for shard-local evaluation; eligible queries donate
   // their scatter paths as planner avoid-hints so boundaries land between
@@ -651,13 +546,7 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
   }
 
   const ScannerOptions& scanner_options = queries.front()->options().scanner;
-  std::vector<MergedDfaInput> dfa_inputs;
-  std::vector<const ProjectionTree*> trees;
-  for (const CompiledQuery* query : queries) {
-    dfa_inputs.push_back(
-        {&query->analyzed().projection, &query->analyzed().roles});
-    trees.push_back(&query->analyzed().projection);
-  }
+  const std::vector<MergedDfaInput> dfa_inputs = DfaInputs(queries);
   // One tag table across all workers: SymbolTable interning is
   // thread-safe, and downstream consumers need one coherent id space.
   SymbolTable tags;
@@ -751,26 +640,14 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
             abort.ShouldAbort(i)) {
           return;
         }
-        // The shard log is already the framed stream the ordinary pipelines
-        // expect: filter-surviving synthetic entry starts, the surviving
-        // slice events, filter-surviving synthetic exit ends (see
+        // The whole shard log is already the framed stream the ordinary
+        // pipelines expect: filter-surviving synthetic entry starts, the
+        // surviving slice events, filter-surviving synthetic exit ends (see
         // core/shard.h — the filter drops whole subtrees only, so the log
-        // is balanced and correctly nested by itself). Appending
-        // end-of-document completes it. Text stays viewing this shard's
-        // arena.
-        std::vector<XmlEvent> events;
-        events.reserve(results[i].log.size() + 1);
-        for (const ShardEvent& entry : results[i].log) {
-          XmlEvent event;
-          event.kind = entry.kind;
-          event.tag = entry.tag;
-          event.text = entry.text;
-          events.push_back(event);
-        }
-        XmlEvent eod;
-        eod.kind = XmlEvent::Kind::kEndOfDocument;
-        events.push_back(eod);
-
+        // is balanced and correctly nested by itself). The replay appends
+        // end-of-document.
+        const ReplayLog& log = results[i].log;
+        const ReplayContext::Span framed{&log, log.begin(), log.end()};
         for (size_t q = 0; q < locals.size(); ++q) {
           const LocalQuery& local = locals[q];
           const CompiledQuery& owner = *queries[local.query_index];
@@ -779,21 +656,15 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
             const ShardQuerySegment& segment =
                 local.plan.segments[dynamic.segment_index];
             LocalSegmentResult& slot = local_results[i][q][d];
-            ShardReplayContext ctx(&dynamic.analyzed, &tags, &events,
-                                   governor_);
-            if (!owner.options().enable_gc ||
-                mode == EngineMode::kMaterializedProjection) {
-              ctx.buffer().set_gc_enabled(false);
-            }
+            ReplayContext ctx(&dynamic.analyzed, owner.options(), &tags,
+                              governor_, /*demux=*/nullptr, {framed});
             AggregateParts* capture =
                 segment.kind == ShardQuerySegment::Kind::kAggregate
                     ? &slot.agg
                     : nullptr;
             std::ostringstream out;
             Result<ExecStats> stats =
-                EvaluateOne(dynamic.analyzed, owner.options(), ctx, [] {},
-                            &out, mode, capture, governor_,
-                            /*charge_output=*/false);
+                EvaluateOne(ctx, &out, capture, /*charge_output=*/false);
             if (!stats.ok()) {
               local_status[i] = stats.status();
               abort.Fail(i);
@@ -840,66 +711,26 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
     }
   }
 
-  // A logged event is a synthetic wrapper event iff its scanner ordinal
-  // falls in the entry prefix or the exit suffix (exit end tags plus
-  // end-of-document are the last exit_path.size() + 1 scanner events).
-  // Replay must drop them — the concatenated logs then reproduce exactly
-  // the stream the single shared scan forwards — and the forwarded-event
-  // counters exclude them for the same comparability reason.
-  auto is_wrapper = [&](size_t shard, const ShardEvent& entry) {
-    return entry.scan_index < plan.slices[shard].entry_path.size() ||
-           entry.scan_index >= results[shard].scanner_events -
-                                   plan.slices[shard].exit_path.size() - 1;
-  };
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (const ShardEvent& entry : results[i].log) {
-      if (!is_wrapper(i, entry)) ++total;
-    }
+  // Merge-and-replay path for the queries that need it: the slices' own
+  // events, concatenated in document order, are exactly the stream the
+  // single shared scan would have forwarded (see core/shard.h). The
+  // synthetic wrapper events around them are a sharding artifact, so the
+  // forwarded-event counters exclude them too.
+  std::vector<ReplayContext::Span> bodies;
+  uint64_t total = 0;
+  for (const ShardScanResult& shard : results) {
+    bodies.push_back({&shard.log, shard.body_begin, shard.body_end});
+    total += shard.body_end - shard.body_begin;
   }
 
   MultiQueryStats result;
-  result.projection = SummarizeMergedProjection(trees);
+  result.projection = BatchProjection(queries);
   result.per_query.resize(queries.size());
-
-  // Merge-and-replay path for the queries that need it: concatenating the
-  // per-shard logs in document order yields exactly the event stream the
-  // single shared scan would have forwarded (see core/shard.h). Text views
-  // stay valid — they point into the per-shard arenas held by `results`.
-  bool any_replay = false;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (!is_local[i]) any_replay = true;
-  }
-  std::vector<XmlEvent> merged;
-  if (any_replay) {
-    merged.reserve(total + 1);
-    for (size_t i = 0; i < n; ++i) {
-      for (const ShardEvent& entry : results[i].log) {
-        if (is_wrapper(i, entry)) continue;
-        XmlEvent event;
-        event.kind = entry.kind;
-        event.tag = entry.tag;
-        event.text = entry.text;
-        merged.push_back(event);
-      }
-    }
-    XmlEvent eod;
-    eod.kind = XmlEvent::Kind::kEndOfDocument;
-    merged.push_back(eod);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (is_local[i]) continue;
-      ShardReplayContext ctx(&queries[i]->analyzed(), &tags, &merged,
-                             governor_);
-      if (!queries[i]->options().enable_gc ||
-          mode == EngineMode::kMaterializedProjection) {
-        ctx.buffer().set_gc_enabled(false);
-      }
-      GCX_ASSIGN_OR_RETURN(
-          ExecStats stats,
-          EvaluateOne(queries[i]->analyzed(), queries[i]->options(), ctx,
-                      [] {}, outs[i], mode, /*capture=*/nullptr, governor_));
-      result.per_query[i] = stats;
-    }
+    if (is_local[i]) continue;
+    ReplayContext ctx(&queries[i]->analyzed(), queries[i]->options(), &tags,
+                      governor_, /*demux=*/nullptr, bodies);
+    GCX_ASSIGN_OR_RETURN(result.per_query[i], EvaluateOne(ctx, outs[i]));
   }
 
   // Result merge for the shard-local queries: walk the segment list in
@@ -985,8 +816,8 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
   shared.shards = n;
   shared.shard_local_queries = locals.size();
   // The forwarded/peak counters describe the union-projected stream the
-  // shards produced, whether or not a merged vector was materialized — so
-  // they stay comparable with the unsharded scan and with PR 6 behavior.
+  // shards produced, whether or not any query replayed it — so they stay
+  // comparable with the unsharded scan.
   shared.events_forwarded = total + 1;
   shared.replay_log_peak = total + 1;
   // Synthetic wrapper events (entry/exit paths plus per-shard EOD) are a
@@ -1001,8 +832,8 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
     shared.bytes_scanned += shard.bytes_scanned;
     shared.events_shared_skipped += shard.events_skipped;
     shared.shared_subtrees_skipped += shard.subtrees_skipped;
-    shared.replay_arena_peak_bytes += shard.arena_peak_bytes;
-    result.per_shard_arena_peak_bytes.push_back(shard.arena_peak_bytes);
+    shared.replay_arena_peak_bytes += shard.log.arena_peak_bytes();
+    result.per_shard_arena_peak_bytes.push_back(shard.log.arena_peak_bytes());
     shared.merged_dfa_states =
         std::max(shared.merged_dfa_states, shard.dfa_states);
   }
@@ -1027,11 +858,7 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteDomBatch(
   uint64_t dom_bytes = DomSubtreeBytes(doc->root());
 
   MultiQueryStats result;
-  std::vector<const ProjectionTree*> trees;
-  for (const CompiledQuery* query : queries) {
-    trees.push_back(&query->analyzed().projection);
-  }
-  result.projection = SummarizeMergedProjection(trees);
+  result.projection = BatchProjection(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto start = std::chrono::steady_clock::now();
     XmlWriter writer(outs[i]);
@@ -1055,6 +882,7 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteDomBatch(
   }
   result.shared.scan_passes = 1;
   result.shared.bytes_scanned = input_bytes;
+  PublishMultiQueryStats(result, GlobalMetrics(), &queries);
   return result;
 }
 
@@ -1068,10 +896,7 @@ struct MultiQueryRun::Impl {
   Status error;
 
   // Streaming / materialized-projection machinery (null in kNaiveDom).
-  SymbolTable tags;
-  std::unique_ptr<SharedScanDemux> demux;
-  std::vector<std::unique_ptr<BatchQueryContext>> contexts;
-  std::vector<const ProjectionTree*> trees;
+  std::unique_ptr<StreamingBatch> batch;
 
   // kNaiveDom: the document accumulates here until EOF, then one
   // MultiQueryEngine::Execute over the buffered string does the rest.
@@ -1114,34 +939,11 @@ MultiQueryRun::MultiQueryRun(std::vector<const CompiledQuery*> queries,
     return;
   }
 
-  std::vector<MergedDfaInput> dfa_inputs;
-  for (const CompiledQuery* query : impl_->queries) {
-    dfa_inputs.push_back(
-        {&query->analyzed().projection, &query->analyzed().roles});
-    impl_->trees.push_back(&query->analyzed().projection);
-  }
-  impl_->demux = std::make_unique<SharedScanDemux>(
-      std::move(input), impl_->queries.front()->options().scanner,
-      &impl_->tags, dfa_inputs);
-  impl_->demux->set_governor(governor);
-  for (const CompiledQuery* query : impl_->queries) {
-    auto ctx = std::make_unique<BatchQueryContext>(&query->analyzed(),
-                                                   &impl_->tags,
-                                                   impl_->demux.get());
-    if (!query->options().enable_gc ||
-        impl_->mode == EngineMode::kMaterializedProjection) {
-      ctx->buffer().set_gc_enabled(false);
-    }
-    impl_->demux->Register(ctx.get());
-    impl_->contexts.push_back(std::move(ctx));
-  }
-  if (impl_->contexts.size() == 1) {
-    // A parked/slow singleton would otherwise pin the replay log's tail
-    // for the whole scan (nothing trims until the lone query evaluates,
-    // which only happens after the pump completes). Eager delivery keeps
-    // the retained log O(1).
-    impl_->demux->set_solo_drain(impl_->contexts.front().get());
-  }
+  // Every query, a lone one included, evaluates after the pump completed:
+  // the log retains the union-projected stream until then, charged to the
+  // governor, and each evaluator replays it with signOff-driven GC.
+  impl_->batch = std::make_unique<StreamingBatch>(impl_->queries,
+                                                  std::move(input), governor);
 }
 
 MultiQueryRun::~MultiQueryRun() = default;
@@ -1195,7 +997,7 @@ MultiQueryRun::State MultiQueryRun::Step() {
   }
 
   // Pump phase: advance the shared scan while the source is ready.
-  Result<PumpState> pumped = im.demux->PumpUntilStalledOrDone();
+  Result<PumpState> pumped = im.batch->demux().PumpUntilStalledOrDone();
   if (!pumped.ok()) {
     im.Fail(pumped.status());
     return im.state;
@@ -1208,26 +1010,12 @@ MultiQueryRun::State MultiQueryRun::Step() {
   // Scan complete: the replay log holds the full union-projected stream,
   // so no evaluator can stall. Run them all.
   im.evaluation_started = true;
-  im.stats.projection = SummarizeMergedProjection(im.trees);
-  for (size_t i = 0; i < im.queries.size(); ++i) {
-    BatchQueryContext* ctx = im.contexts[i].get();
-    Result<ExecStats> stats = EvaluateOne(
-        im.queries[i]->analyzed(), im.queries[i]->options(), *ctx,
-        [&im, ctx] { im.demux->Detach(ctx); }, im.outs[i], im.mode,
-        /*capture=*/nullptr, im.governor);
-    if (!stats.ok()) {
-      im.Fail(stats.status());
-      return im.state;
-    }
-    im.stats.per_query.push_back(std::move(stats).value());
+  Result<MultiQueryStats> stats = im.batch->Evaluate(im.outs);
+  if (!stats.ok()) {
+    im.Fail(stats.status());
+    return im.state;
   }
-  im.stats.shared = im.demux->stats();
-  im.stats.shared.scan_passes = 1;
-  im.stats.shared.bytes_scanned = im.demux->scanner().bytes_consumed();
-  im.stats.shared.merged_dfa_states = im.demux->merged().num_states();
-  // The kNaiveDom branch above published through engine.Execute already;
-  // this is the only exit for the streaming pump.
-  PublishMultiQueryStats(im.stats, GlobalMetrics(), &im.queries);
+  im.stats = std::move(stats).value();
   im.state = State::kDone;
   return im.state;
 }
@@ -1247,7 +1035,7 @@ int MultiQueryRun::ReadyFd() const {
   if (im.mode == EngineMode::kNaiveDom) {
     return im.dom_source != nullptr ? im.dom_source->ReadyFd() : -1;
   }
-  return im.demux != nullptr ? im.demux->scanner().ReadyFd() : -1;
+  return im.batch != nullptr ? im.batch->demux().ReadyFd() : -1;
 }
 
 Result<MultiQueryStats> MultiQueryRun::TakeStats() {

@@ -14,20 +14,23 @@
 //              (skips subtrees dead                       ├──► projector 2 ─ evaluator 2
 //               for EVERY query)                          └──► …
 //
-// Evaluators run sequentially; each pulls through the shared log at its own
-// position. Whoever reaches the head of the log advances the single
-// scanner; everyone behind replays buffered events. A subtree no query can
-// match is consumed by the prefilter without ever entering the log (the
-// shared analog of the per-query fast-skip). Events already replayed by
-// every still-active query are dropped from the log's tail — in practice
-// that frees little before the last query runs (earlier queries pin
-// position 0 until they evaluate); see the memory note below.
+// Evaluators run sequentially; each pulls through the shared replay log
+// (core/replay_log.h) at its own position. Whoever reaches the head of the
+// log advances the single scanner; everyone behind replays buffered
+// events. A subtree no query can match is consumed by the prefilter
+// without ever entering the log (the shared analog of the per-query
+// fast-skip). Events already replayed by every still-active query are
+// dropped from the log's front — in practice that frees little before the
+// last query runs (later queries pin their position until they evaluate);
+// see the memory note below.
 //
-// Memory: the log retains the union-projected event stream until the last
-// query has replayed it — the inherent cost of evaluating N pull-based
-// queries against one sequential scan. The per-query buffers behave exactly
-// as in solo runs (projection + active GC), so the paper's Sec. 3 safety
-// requirements hold per query and are re-checked here.
+// Memory: with N >= 2 the log retains the union-projected event stream
+// until the last query has replayed it — the inherent cost of evaluating N
+// pull-based queries against one sequential scan. A lone pull-driven query
+// keeps it at one entry. The log is charged to the run's arena and
+// replay-event budgets. The per-query buffers behave exactly as in solo
+// runs (projection + active GC), so the paper's Sec. 3 safety requirements
+// hold per query and are re-checked here.
 
 #ifndef GCX_CORE_MULTI_ENGINE_H_
 #define GCX_CORE_MULTI_ENGINE_H_
@@ -160,10 +163,6 @@ class MultiQueryEngine {
   void set_governor(RunGovernor* governor) { governor_ = governor; }
 
  private:
-  Result<MultiQueryStats> ExecuteStreamingBatch(
-      const std::vector<const CompiledQuery*>& queries,
-      std::unique_ptr<ByteSource> input,
-      const std::vector<std::ostream*>& outs) const;
   Result<MultiQueryStats> ExecuteDomBatch(
       const std::vector<const CompiledQuery*>& queries,
       std::unique_ptr<ByteSource> input,
@@ -185,12 +184,15 @@ class MultiQueryEngine {
 ///
 /// Compared with MultiQueryEngine::Execute (evaluator-driven pull), the
 /// replay log here buffers the complete union-projected stream before the
-/// first evaluator runs when N >= 2 — the same peak the pull path reaches
-/// in practice (queries behind the head pin the log tail until they
-/// evaluate). A solo batch instead drains eagerly: each surviving event is
-/// delivered to the lone projector as it is appended and trimmed right
-/// away, so a parked or slow singleton retains O(1) replay log/arena
-/// rather than pinning the whole stream until its evaluator runs.
+/// first evaluator runs. With N >= 2 that is the same peak the pull path
+/// reaches in practice (queries behind the head pin the log until they
+/// evaluate). A lone query retains its whole projected stream in the log
+/// too, where a pull-driven solo run would hold O(1): that is the price of
+/// parking the run without blocking. Memory stays governed all the same —
+/// the log is charged to the arena/replay budgets, so a run whose stream
+/// does not fit trips with a typed error — and every evaluator, a lone one
+/// included, replays the log with signOff-driven GC, so its buffer peak
+/// equals the solo run's.
 class MultiQueryRun {
  public:
   enum class State {

@@ -283,10 +283,13 @@ void ScanShard(std::string_view doc, const ShardSlice& slice,
   MergedDfa dfa(dfa_inputs, tags);
   ProjectedEventFilter filter(&dfa);
 
-  uint64_t scan_index = 0;
+  result->log.set_governor(governor);
+  // The log end before each of the last exit_path.size() + 1 scanner
+  // events (a ring indexed by scanner ordinal): once the scan ends, the
+  // oldest slot is the log end before the first exit wrapper event.
+  std::vector<uint64_t> tail_ends(slice.exit_path.size() + 1);
+  uint64_t scanned = 0;
   uint64_t stall_spins = 0;
-  uint64_t arena_lease = 0;
-  uint64_t replay_lease = 0;
   // A governor trip here fails this shard AND pulses the shared cancel
   // token, so every sibling's next checkpoint observes the same canonical
   // reason — the in-order sweep then reports one deterministic error.
@@ -341,57 +344,37 @@ void ScanShard(std::string_view doc, const ShardSlice& slice,
       fail(std::move(next));
       break;
     }
-    const uint64_t index = scan_index++;
+    const uint64_t index = scanned++;
+    if (index == slice.entry_path.size()) {
+      result->body_begin = result->log.end();
+    }
+    tail_ends[index % tail_ends.size()] = result->log.end();
     Result<ProjectedEventFilter::Action> action = filter.Apply(event);
     if (!action.ok()) {
       fail(action.status());
       break;
     }
     if (*action == ProjectedEventFilter::Action::kSkip) continue;
-    if (event.kind == XmlEvent::Kind::kEndOfDocument) break;
-    // Synthetic wrapper events that survive the filter are logged too:
-    // the log then forms a balanced, correctly nested stream on its own (a
-    // wrapper element the filter subtree-skipped disappears TOGETHER with
-    // whatever slice events sat inside its skip region, including its real
-    // close tag), which is exactly what worker-side evaluation replays.
-    // The merge path drops them again by scan_index.
-    ShardEvent out;
-    out.kind = event.kind;
-    out.tag = event.tag;
-    out.scan_index = index;
-    if (!event.text.empty()) {
-      uint32_t chunk;  // shard logs are dropped wholesale: handle unused
-      // Checked append: identical to Append unless the fault harness armed
-      // the ArenaFaultInjector, whose injected failure surfaces as the
-      // run's typed resource error.
-      if (!result->arena.AppendChecked(event.text, &out.text, &chunk)) {
-        Status failed = ResourceExhaustedError(
-            "replay arena allocation failed (injected fault)");
-        fail(governor != nullptr ? governor->TripExternal(std::move(failed))
-                                 : std::move(failed));
-        break;
-      }
+    if (event.kind == XmlEvent::Kind::kEndOfDocument) {
+      GCX_CHECK(scanned >= tail_ends.size());
+      result->body_end = tail_ends[scanned % tail_ends.size()];
+      break;
     }
-    result->log.push_back(out);
-    if (governor != nullptr) {
-      Status charged = governor->UpdateArenaBytes(
-          &arena_lease, result->arena.stats().bytes_live);
-      if (charged.ok()) {
-        charged =
-            governor->UpdateReplayEvents(&replay_lease, result->log.size());
-      }
-      if (!charged.ok()) {
-        fail(std::move(charged));
-        break;
-      }
+    // Synthetic wrapper events that survive the filter are logged too:
+    // the log then forms a balanced, correctly nested stream on its own,
+    // which is exactly what worker-side evaluation replays. The merge path
+    // replays only [body_begin, body_end).
+    Status appended = result->log.Append(event);
+    if (!appended.ok()) {
+      fail(std::move(appended));
+      break;
     }
   }
 
-  result->scanner_events = scan_index;
+  result->scanner_events = scanned;
   result->events_skipped = filter.events_skipped();
   result->subtrees_skipped = filter.subtrees_skipped();
   result->bytes_scanned = slice.end - slice.begin;
-  result->arena_peak_bytes = result->arena.stats().bytes_peak;
   result->dfa_states = dfa.num_states();
 }
 

@@ -25,9 +25,10 @@
 // framed slice is too). The wrapper events re-build both the scanner's
 // balance stack and the prefilter's DFA frame stack — transitions are
 // deterministic, so every skip decision matches what the unsharded scan
-// decides at the same position — and are dropped again at merge time by
-// their scanner-event ordinals. Boundaries sit only at element starts, so
-// no text run, tag or entity is ever split.
+// decides at the same position — and are dropped again at merge time,
+// which replays only the log range the slice's own events occupy.
+// Boundaries sit only at element starts, so no text run, tag or entity is
+// ever split.
 //
 // Failure model. PlanShards is purely lexical and never fails: a document
 // it cannot shard safely (too small, structurally dubious, no usable
@@ -50,11 +51,10 @@
 #include <string_view>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/symbol_table.h"
+#include "core/replay_log.h"
 #include "projection/merged_dfa.h"
-#include "xml/event.h"
 #include "xml/scanner.h"
 #include "xpath/path.h"
 
@@ -134,38 +134,27 @@ struct ShardAbort {
   }
 };
 
-/// One surviving event of a shard's scan. `text` views the result's arena;
-/// `scan_index` is the event's ordinal in the shard's scanner stream.
-/// Filter-surviving synthetic wrapper events are logged like any other —
-/// the log is then a balanced, correctly nested stream by itself (the
-/// filter only drops whole subtrees, so a skipped wrapper element vanishes
-/// together with its real close tag), ready for worker-side evaluation.
-/// The merge path identifies wrapper events by ordinal — entry starts are
-/// `scan_index < entry_path.size()`, exit ends (plus end-of-document) are
-/// `scan_index >= scanner_events - exit_path.size() - 1` — and drops them
-/// when concatenating logs for replay.
-struct ShardEvent {
-  XmlEvent::Kind kind = XmlEvent::Kind::kEndOfDocument;
-  TagId tag = kInvalidTag;
-  std::string_view text;
-  uint64_t scan_index = 0;
-};
-
-/// What one worker hands back: the projected event log of its slice (plus
-/// the arena owning the text payloads) and scan counters.
+/// What one worker hands back: the projected event log of its framed
+/// slice and scan counters. Filter-surviving synthetic wrapper events are
+/// logged like any other — the log is then a balanced, correctly nested
+/// stream by itself (the filter only drops whole subtrees, so a skipped
+/// wrapper element vanishes together with its real close tag), ready for
+/// worker-side evaluation. Wrapper events are the first entry_path.size()
+/// and the last exit_path.size() + 1 scanner events (exit ends plus
+/// end-of-document), so the survivors form a prefix and a suffix of the
+/// log: the slice's own events are exactly the log range
+/// [body_begin, body_end), which the merge path replays.
 struct ShardScanResult {
   Status status = Status::Ok();
-  std::vector<ShardEvent> log;
-  ByteArena arena;
+  ReplayLog log;
+  uint64_t body_begin = 0;      ///< log position of the slice's first event
+  uint64_t body_end = 0;        ///< one past the slice's last event
   uint64_t scanner_events = 0;  ///< all events the shard's scanner produced
   uint64_t events_skipped = 0;
   uint64_t subtrees_skipped = 0;
   uint64_t bytes_scanned = 0;
-  uint64_t arena_peak_bytes = 0;
   uint64_t dfa_states = 0;
 };
-
-class RunGovernor;
 
 /// Scans one slice: synthetic wrappers + slice bytes through a private
 /// scanner and merged-DFA prefilter (one MergedDfa per call — Transition

@@ -6,10 +6,12 @@
 // in a loop until the datum it needs appears in the buffer.
 //
 // ExecContext is the abstract surface the evaluator and cursors pull
-// through; StreamExecContext is the classic one-query-one-scanner wiring.
-// The multi-query engine (core/multi_engine.h) provides a second
-// implementation whose Pull() demultiplexes one shared document scan
-// across N per-query buffers.
+// through. It has two implementations:
+//   * StreamExecContext (below) — the paper's one-query-one-scanner wiring;
+//   * ReplayContext (core/multi_engine.cc) — one query of a batched or
+//     sharded run, whose Pull() replays a log (core/replay_log.h): either
+//     the shared scan of a batch, advanced on demand, or spans of finished
+//     shard logs.
 
 #ifndef GCX_EVAL_EXEC_CONTEXT_H_
 #define GCX_EVAL_EXEC_CONTEXT_H_

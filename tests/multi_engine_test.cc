@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/merged_projection.h"
+#include "common/budget.h"
+#include "common/metrics.h"
 #include "core/engine.h"
 #include "core/multi_engine.h"
 #include "projection/merged_dfa.h"
@@ -224,13 +228,12 @@ TEST(MultiEngine, MalformedInputFailsTheBatch) {
   EXPECT_FALSE(stats.ok());
 }
 
-TEST(MultiQueryRun, SoloRunKeepsReplayArenaBounded) {
-  // A solo batch routed through MultiQueryRun (how the admission scheduler
-  // executes a parked/pollable singleton) used to pump the entire
-  // union-projected stream into the replay log before its one evaluator
-  // ran — nothing trimmed, so the arena retained the whole projected
-  // document. The eager solo drain must keep both the log and its arena
-  // at O(1) regardless of document size, stalls included.
+TEST(MultiQueryRun, PollableSingletonEvaluatesWithGcUnderTheArenaBudget) {
+  // A lone query routed through MultiQueryRun (how the admission scheduler
+  // executes a pollable singleton) must behave like its solo run: the
+  // evaluator replays the pumped log with signOff-driven GC, so the buffer
+  // peak equals the solo peak, and the retained log is charged to the
+  // arena budget, so a budget smaller than the projected stream trips.
   std::string doc = "<site><items>";
   for (int i = 0; i < 8000; ++i) {
     doc += "<item><price>5</price><desc>";
@@ -241,35 +244,133 @@ TEST(MultiQueryRun, SoloRunKeepsReplayArenaBounded) {
 
   Batch batch =
       CompileBatch({"<r>{ for $i in /site/items/item return $i/desc }</r>"});
-  const std::string expected = SoloOutput(*batch.pointers.front(), doc);
+  Engine engine;
+  std::ostringstream solo_out;
+  auto solo = engine.Execute(*batch.pointers.front(), doc, &solo_out);
+  ASSERT_TRUE(solo.ok());
+
+  auto source_for = [&doc](size_t stall_every) -> std::unique_ptr<ByteSource> {
+    if (stall_every == 0) return std::make_unique<StringSource>(doc);
+    return std::make_unique<WouldBlockEveryNSource>(doc, stall_every);
+  };
+  // Steps `run` to kDone or kFailed; kStalled sources are ready again on
+  // the very next read.
+  auto finish = [](MultiQueryRun& run) {
+    MultiQueryRun::State state = run.Step();
+    while (state == MultiQueryRun::State::kStalled ||
+           state == MultiQueryRun::State::kRunnable) {
+      state = run.Step();
+    }
+    return state;
+  };
 
   for (size_t stall_every : {size_t{0}, size_t{4096}}) {
-    std::unique_ptr<ByteSource> source;
-    if (stall_every == 0) {
-      source = std::make_unique<StringSource>(doc);
-    } else {
-      source = std::make_unique<WouldBlockEveryNSource>(doc, stall_every);
-    }
     std::ostringstream out;
-    MultiQueryRun run(batch.pointers, std::move(source), {&out});
-    while (true) {
-      MultiQueryRun::State state = run.Step();
-      if (state == MultiQueryRun::State::kDone) break;
-      ASSERT_NE(state, MultiQueryRun::State::kFailed) << run.status().message();
-      // kStalled: the stall source is ready again on the very next read.
-    }
+    MultiQueryRun run(batch.pointers, source_for(stall_every), {&out});
+    ASSERT_EQ(finish(run), MultiQueryRun::State::kDone)
+        << run.status().message();
     auto stats = run.TakeStats();
     ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(out.str(), expected);
-    // The lone subscriber consumes every event as it is appended; the
-    // projected text alone is ~512 KiB, so an unbounded log would peak
-    // far beyond one 64 KiB arena chunk.
-    EXPECT_LE(stats->shared.replay_log_peak, 2u)
+    EXPECT_EQ(out.str(), solo_out.str()) << "stall_every=" << stall_every;
+    EXPECT_EQ(stats->per_query[0].buffer.bytes_peak,
+              solo->buffer.bytes_peak)
         << "stall_every=" << stall_every;
-    EXPECT_LE(stats->shared.replay_arena_peak_bytes, uint64_t{64} * 1024)
+
+    RunBudget budget;
+    budget.max_arena_bytes = 65536;
+    RunGovernor governor(budget);
+    std::ostringstream budgeted_out;
+    MultiQueryRun budgeted(batch.pointers, source_for(stall_every),
+                           {&budgeted_out}, &governor);
+    ASSERT_EQ(finish(budgeted), MultiQueryRun::State::kFailed)
         << "stall_every=" << stall_every;
+    EXPECT_EQ(budgeted.status().ToString(),
+              "ResourceExhausted: arena byte budget of 65536 bytes exceeded");
   }
 }
+
+#ifndef GCX_METRICS_OFF
+TEST(MultiEngineMetrics, EveryRunPublishesExactlyOnce) {
+  // Whichever path executes a batch, it publishes one batch.runs_total
+  // sample and one engine.runs_total sample per query into the global
+  // registry — never zero, never twice.
+  auto counter = [](const char* name) {
+    std::map<std::string, uint64_t> snap = MetricsRegistry::Global().Snapshot();
+    auto it = snap.find(name);
+    return it == snap.end() ? uint64_t{0} : it->second;
+  };
+  auto expect_published_once = [&](const std::string& label, size_t queries,
+                                   const std::function<void()>& run) {
+    uint64_t batches = counter("batch.runs_total");
+    uint64_t engines = counter("engine.runs_total");
+    run();
+    EXPECT_EQ(counter("batch.runs_total") - batches, 1u) << label;
+    EXPECT_EQ(counter("engine.runs_total") - engines, queries) << label;
+  };
+
+  Batch pair = CompileBatch({
+      "<r>{ for $p in /site/people/person return $p/name }</r>",
+      "<r>{ count(/site/items/item) }</r>",
+  });
+  Batch single = CompileBatch({"<r>{ count(/site/items/item) }</r>"});
+  MultiQueryEngine engine;
+
+  expect_published_once("Execute N=2", 2, [&] {
+    std::ostringstream o1, o2;
+    ASSERT_TRUE(engine.Execute(pair.pointers, kDoc, {&o1, &o2}).ok());
+  });
+
+  for (const Batch* batch : {&single, &pair}) {
+    const size_t n = batch->pointers.size();
+    expect_published_once("MultiQueryRun N=" + std::to_string(n), n, [&] {
+      std::vector<std::ostringstream> streams(n);
+      std::vector<std::ostream*> outs;
+      for (std::ostringstream& stream : streams) outs.push_back(&stream);
+      MultiQueryRun run(batch->pointers,
+                        std::make_unique<WouldBlockEveryNSource>(kDoc, 16),
+                        outs);
+      MultiQueryRun::State state = run.Step();
+      while (state == MultiQueryRun::State::kStalled) state = run.Step();
+      ASSERT_EQ(state, MultiQueryRun::State::kDone) << run.status().message();
+      ASSERT_TRUE(run.TakeStats().ok());
+    });
+  }
+
+  // A document the planner can split: the count query evaluates inside the
+  // shard workers, the $root-reading loop replays the merged logs.
+  std::string items = "<site><items>";
+  for (int i = 0; i < 300; ++i) {
+    items += "<item><price>" + std::to_string(i % 7) + "</price></item>";
+  }
+  items += "</items></site>";
+  Batch mixed = CompileBatch({
+      "<c>{ count(/site/items/item) }</c>",
+      "<r>{ for $i in /site/items/item return "
+      "<o>{ count(/site/items/item) }</o> }</r>",
+  });
+  ShardOptions shard_options;
+  shard_options.shards = 4;
+  shard_options.min_shard_bytes = 1;
+  expect_published_once("ExecuteSharded local + replay", 2, [&] {
+    std::ostringstream o1, o2;
+    auto stats =
+        engine.ExecuteSharded(mixed.pointers, items, {&o1, &o2}, shard_options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->shared.shards, 0u);
+    EXPECT_EQ(stats->shared.shard_local_queries, 1u);
+  });
+
+  ShardOptions declined = shard_options;
+  declined.min_shard_bytes = items.size();  // too small to split in four
+  expect_published_once("ExecuteSharded planner decline", 2, [&] {
+    std::ostringstream o1, o2;
+    auto stats =
+        engine.ExecuteSharded(mixed.pointers, items, {&o1, &o2}, declined);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->shared.shards, 0u);
+  });
+}
+#endif
 
 TEST(MergedProjection, SummarizesSharedAndPrivatePaths) {
   Batch batch = CompileBatch({

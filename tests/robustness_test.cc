@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -394,28 +395,54 @@ class NeverReadySource : public ByteSource {
 };
 
 TEST(Deadline, StalledRunTerminatesWithinDeadlinePlusGrace) {
-  auto compiled = CompiledQuery::Compile("<r>{ count(//a) }</r>", {});
-  ASSERT_TRUE(compiled.ok());
-  RunBudget budget;
-  budget.deadline_ms = 300;
-  RunGovernor governor(budget);
-  Engine engine;
-  engine.set_governor(&governor);
-  std::ostringstream out;
-  auto start = std::chrono::steady_clock::now();
-  auto stats =
-      engine.Execute(*compiled, std::make_unique<NeverReadySource>(), &out);
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_TRUE(IsDeadlineExceeded(stats.status()));
-  EXPECT_EQ(stats.status().ToString(),
-            "DeadlineExceeded: run deadline of 300 ms exceeded");
-  // The acceptance bound: a parked run must notice the deadline promptly.
-  EXPECT_LT(elapsed_ms, 300 + 100)
-      << "stalled run overshot the deadline by more than the 100 ms grace";
-  EXPECT_GE(elapsed_ms, 295) << "run gave up before the deadline";
+  // Two inputs: the solo pull loop, and a two-query batch whose first
+  // evaluator pulls through the shared demux. Both wait on the never-ready
+  // source and must notice the deadline promptly after each wait.
+  auto q1 = CompiledQuery::Compile("<r>{ count(//a) }</r>", {});
+  auto q2 = CompiledQuery::Compile("<r>{ for $x in /a/b return $x }</r>", {});
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  auto run_solo = [&](RunGovernor* governor) {
+    Engine engine;
+    engine.set_governor(governor);
+    std::ostringstream out;
+    return engine.Execute(*q1, std::make_unique<NeverReadySource>(), &out)
+        .status();
+  };
+  auto run_batch = [&](RunGovernor* governor) {
+    MultiQueryEngine engine;
+    engine.set_governor(governor);
+    std::ostringstream o1, o2;
+    return engine
+        .Execute({&*q1, &*q2}, std::make_unique<NeverReadySource>(),
+                 {&o1, &o2})
+        .status();
+  };
+  struct Input {
+    const char* name;
+    std::function<Status(RunGovernor*)> run;
+  };
+  for (const Input& input :
+       std::vector<Input>{{"solo", run_solo}, {"batch", run_batch}}) {
+    const char* name = input.name;
+    RunBudget budget;
+    budget.deadline_ms = 300;
+    RunGovernor governor(budget);
+    auto start = std::chrono::steady_clock::now();
+    Status status = input.run(&governor);
+    auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ASSERT_FALSE(status.ok()) << name;
+    EXPECT_TRUE(IsDeadlineExceeded(status)) << name;
+    EXPECT_EQ(status.ToString(),
+              "DeadlineExceeded: run deadline of 300 ms exceeded")
+        << name;
+    // The acceptance bound: a parked run must notice the deadline promptly.
+    EXPECT_LT(elapsed_ms, 300 + 100)
+        << name
+        << ": stalled run overshot the deadline by more than the 100 ms grace";
+    EXPECT_GE(elapsed_ms, 295) << name << ": run gave up before the deadline";
+  }
 }
 
 TEST(Deadline, ExpiryDuringEvaluationSurfacesTheSameText) {
