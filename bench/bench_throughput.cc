@@ -21,7 +21,9 @@
 // allocations/event is the pipeline's zero-copy health metric, asserted in
 // CI against fixed ceilings (wall-clock gates would flake; alloc counts
 // don't). The xmark_q8 row's ceiling guards the evaluator's comparison
-// path, which must not allocate per comparison.
+// path, which must not allocate per comparison; its comparisons and
+// value_reads counts (read from the metrics registry) show that operands
+// are read once per bound node, not once per comparison.
 //
 // GCX_BENCH_SCALE=N multiplies the document sizes.
 // GCX_BENCH_JSON=path overrides the output path
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,6 +56,11 @@ struct Row {
   uint64_t document_bytes = 0;
   uint64_t events = 0;
   uint64_t allocs = 0;
+  // Evaluator work: general comparisons evaluated and operand value lists
+  // read from the buffer (the operand memo makes reads per node, not per
+  // comparison).
+  uint64_t comparisons = 0;
+  uint64_t value_reads = 0;
   double seconds = 0;
   double mb_per_s() const {
     return seconds > 0
@@ -121,6 +129,26 @@ std::string BackendLabel(const gcx::EngineOptions& options) {
   return gcx::SimdBackendName(gcx::DispatchedScanOps().backend);
 }
 
+/// The evaluator counters published to the metrics registry so far.
+struct EvalCounters {
+  uint64_t comparisons = 0;
+  uint64_t value_reads = 0;
+};
+
+EvalCounters ReadEvalCounters() {
+  std::map<std::string, uint64_t> snapshot =
+      gcx::MetricsRegistry::Global().Snapshot();
+  return {snapshot["eval.comparisons_total"],
+          snapshot["eval.value_reads_total"]};
+}
+
+/// Stores the counters published since `before` in `row`.
+void RecordEvalCounters(const EvalCounters& before, Row* row) {
+  EvalCounters after = ReadEvalCounters();
+  row->comparisons = after.comparisons - before.comparisons;
+  row->value_reads = after.value_reads - before.value_reads;
+}
+
 Row RunSoloOpts(const std::string& workload, std::string_view query_text,
                 const std::string& doc, int reps,
                 const gcx::EngineOptions& options,
@@ -145,6 +173,7 @@ Row RunSoloOpts(const std::string& workload, std::string_view query_text,
     std::ostream* out = output != nullptr
                             ? static_cast<std::ostream*>(&captured)
                             : &null_stream;
+    EvalCounters before = ReadEvalCounters();
     AllocCounterScope allocs;
     auto start = std::chrono::steady_clock::now();
     auto stats = engine.Execute(*compiled, doc, out);
@@ -159,6 +188,7 @@ Row RunSoloOpts(const std::string& workload, std::string_view query_text,
     row.seconds = std::min(row.seconds, seconds);
     row.events = stats->projector.events_read;
     row.allocs = allocs.count();
+    RecordEvalCounters(before, &row);
     if (output != nullptr) *output = captured.str();
   }
   return row;
@@ -248,6 +278,7 @@ Row RunBatch8(const std::string& doc, int reps) {
       streams.push_back(std::make_unique<std::ostream>(&buffer));
       outs.push_back(streams.back().get());
     }
+    EvalCounters before = ReadEvalCounters();
     AllocCounterScope allocs;
     auto start = std::chrono::steady_clock::now();
     auto stats = engine.Execute(batch, doc, outs);
@@ -264,6 +295,7 @@ Row RunBatch8(const std::string& doc, int reps) {
     // denominator, like bytes are for MB/s.
     row.events = stats->shared.events_scanned;
     row.allocs = allocs.count();
+    RecordEvalCounters(before, &row);
   }
   return row;
 }
@@ -283,12 +315,15 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
         "\"document_bytes\": %llu, "
         "\"seconds\": %.6f, \"mb_per_s\": %.2f, \"events\": %llu, "
         "\"events_per_s\": %.0f, \"allocs\": %llu, "
-        "\"allocs_per_event\": %.4f}%s\n",
+        "\"allocs_per_event\": %.4f, \"comparisons\": %llu, "
+        "\"value_reads\": %llu}%s\n",
         r.workload.c_str(), r.mode.c_str(), r.backend.c_str(),
         static_cast<unsigned long long>(r.document_bytes), r.seconds,
         r.mb_per_s(), static_cast<unsigned long long>(r.events),
         r.events_per_s(), static_cast<unsigned long long>(r.allocs),
-        r.allocs_per_event(), i + 1 < rows.size() ? "," : "");
+        r.allocs_per_event(), static_cast<unsigned long long>(r.comparisons),
+        static_cast<unsigned long long>(r.value_reads),
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]");
   gcx::bench::WriteMetricsMember(f);

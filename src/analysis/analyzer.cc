@@ -204,6 +204,71 @@ void InsertInto(Expr* expr, const VariableTree& vars,
   }
 }
 
+/// True if `cond` reads `var`.
+bool CondMentions(const Cond& cond, VarId var) {
+  switch (cond.kind) {
+    case CondKind::kTrue:
+      return false;
+    case CondKind::kExists:
+      return cond.lhs.var == var;
+    case CondKind::kCompare:
+      return (!cond.lhs.is_literal && cond.lhs.var == var) ||
+             (!cond.rhs.is_literal && cond.rhs.var == var);
+    case CondKind::kAnd:
+    case CondKind::kOr:
+      return CondMentions(*cond.left, var) || CondMentions(*cond.right, var);
+    case CondKind::kNot:
+      return CondMentions(*cond.left, var);
+  }
+  return true;
+}
+
+bool ContainsSignOff(const Expr& expr) {
+  if (expr.kind == ExprKind::kSignOff) return true;
+  for (const auto& item : expr.items) {
+    if (ContainsSignOff(*item)) return true;
+  }
+  for (const Expr* sub : {expr.child.get(), expr.body.get(),
+                          expr.then_branch.get(), expr.else_branch.get()}) {
+    if (sub != nullptr && ContainsSignOff(*sub)) return true;
+  }
+  return false;
+}
+
+/// Hoists the guard of the loop in `*slot`, then the next guard of the same
+/// loop, for as long as HoistGuards' conditions hold.
+void HoistAt(std::unique_ptr<Expr>* slot) {
+  Expr* loop = slot->get();
+  while (loop->kind == ExprKind::kFor && loop->body->kind == ExprKind::kIf &&
+         loop->body->else_branch->kind == ExprKind::kEmpty &&
+         !CondMentions(*loop->body->cond, loop->loop_var) &&
+         !ContainsSignOff(*loop->body->then_branch)) {
+    std::unique_ptr<Expr> guard = std::move(loop->body);
+    loop->body = std::move(guard->then_branch);
+    guard->then_branch = std::move(*slot);
+    *slot = std::move(guard);
+    slot = &(*slot)->then_branch;
+  }
+}
+
+/// Hoists signOff-free guards out of their loops, bottom-up so that the
+/// rewrite cascades: `for $v in P return if C then E else ()` becomes
+/// `if C then (for $v in P return E) else ()` when C does not mention $v
+/// and E holds no signOff. This inverts Fig. 7's rule FOR, whose only
+/// purpose is to run the signOffs of every binding: where none was placed,
+/// the loop's one buffer effect is cursor pins, so skipping it when C is
+/// false strands no role (Sec. 3), and C, fixed over the loop, selects the
+/// same output (Theorem 1). Runs after InsertSignOffs.
+void HoistGuards(std::unique_ptr<Expr>* slot) {
+  Expr* expr = slot->get();
+  for (auto& item : expr->items) HoistGuards(&item);
+  for (std::unique_ptr<Expr>* sub : {&expr->child, &expr->body,
+                                     &expr->then_branch, &expr->else_branch}) {
+    if (*sub != nullptr) HoistGuards(sub);
+  }
+  HoistAt(slot);
+}
+
 }  // namespace
 
 void InsertSignOffs(Query* query, const VariableTree& vars,
@@ -233,6 +298,7 @@ Result<AnalyzedQuery> Analyze(Query normalized, const AnalysisOptions& options) 
   }
   out.projection = DeriveProjectionTree(out.vars, out.roles);
   InsertSignOffs(&out.query, out.vars, out.roles);
+  HoistGuards(&out.query.body);
   return out;
 }
 

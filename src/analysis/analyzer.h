@@ -6,6 +6,8 @@
 //   3. Aggregate-role marking (Sec. 6), optional.
 //   4. Derive the projection tree (Sec. 4).
 //   5. Insert signOff-statements via algorithm suQ (Fig. 8).
+//   6. Hoist signOff-free guards out of their loops (inverse of Fig. 7's
+//      rule FOR).
 //
 // Theorem 1 (correctness) is exercised end-to-end by the differential test
 // suite: evaluating the rewritten query on the projected document equals

@@ -32,6 +32,7 @@ bool BufferNode::HasAggregateRole() const {
 BufferTree::BufferTree() {
   root_ = pool_.Allocate();
   stats_.nodes_created = 1;
+  root_->serial = 1;
   stats_.nodes_current = 1;
   stats_.nodes_peak = 1;
   stats_.bytes_current = NodeBytes(*root_);
@@ -67,6 +68,7 @@ BufferNode* BufferTree::AppendElement(BufferNode* parent, TagId tag) {
   }
   parent->last_child = node;
   ++stats_.nodes_created;
+  node->serial = static_cast<uint32_t>(stats_.nodes_created);
   ++stats_.nodes_current;
   if (stats_.nodes_current > stats_.nodes_peak) {
     stats_.nodes_peak = stats_.nodes_current;

@@ -17,6 +17,10 @@
 //    all descendants; the cover test walks the ancestor chain.
 //  * Unfinished nodes (open elements) are never freed: they are marked
 //    deleted and purged when their closing tag arrives (Sec. 5).
+//  * Nodes come from a free-list pool, so a purged node's address is soon
+//    handed out again. `serial` (the node's creation count, low 32 bits)
+//    tells the two apart: the evaluator's operand memo keys on
+//    (address, serial) within the window SerialWindowHolds allows.
 
 #ifndef GCX_BUFFER_BUFFER_TREE_H_
 #define GCX_BUFFER_BUFFER_TREE_H_
@@ -51,6 +55,10 @@ struct BufferNode {
   /// text arena (valid for the node's lifetime; released on purge).
   std::string_view text;
   uint32_t text_chunk = ByteArena::kNullChunk;  ///< arena handle for `text`
+  /// Low 32 bits of BufferStats::nodes_created counting this node: with
+  /// the address, the node's identity across pool address reuse (see
+  /// NodeBirth / SerialWindowHolds).
+  uint32_t serial = 0;
 
   BufferNode* parent = nullptr;
   BufferNode* first_child = nullptr;
@@ -69,8 +77,26 @@ struct BufferNode {
   bool HasAggregateRole() const;
 };
 
-// Pins sit in the padding after self_weight: the node stays 112 bytes.
+// `serial` sits in the padding after text_chunk and pins in the padding
+// after self_weight: the node stays 112 bytes.
 static_assert(sizeof(BufferNode) == 112, "BufferNode layout changed");
+
+/// The node's creation count reconstructed from its `serial`: the largest
+/// count not above `nodes_created` (now) whose low 32 bits equal `serial`.
+/// It equals the true count when the node is younger than 2^32 creations;
+/// it is never earlier than the true count.
+inline uint64_t NodeBirth(uint32_t serial, uint64_t nodes_created) {
+  return nodes_created -
+         static_cast<uint32_t>(static_cast<uint32_t>(nodes_created) - serial);
+}
+
+/// Whether (address, serial) still names only the node whose birth was
+/// reconstructed as `birth`: a node that later takes the same address is
+/// created after `birth`, so an equal serial needs 2^32 more creations.
+/// Fewer than that since `birth`, and the pair is unambiguous.
+inline bool SerialWindowHolds(uint64_t birth, uint64_t nodes_created) {
+  return nodes_created - birth < (uint64_t{1} << 32);
+}
 
 /// Buffer statistics. Byte figures count the live tree: node structs, text
 /// payloads and role entries (the memory the paper's technique manages;

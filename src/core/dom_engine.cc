@@ -1,12 +1,10 @@
 #include "core/dom_engine.h"
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/strings.h"
-#include "eval/evaluator.h"  // CompareValues
+#include "eval/evaluator.h"  // CompareValues, SumFold
 #include "xpath/dom_eval.h"
 
 namespace gcx {
@@ -100,21 +98,15 @@ class DomEvaluator {
           writer_->Text(std::to_string(count));
           return Status::Ok();
         }
-        // Same sum semantics as the streaming evaluator (see
-        // eval/evaluator.cc EvalAggregate): empty = 0, non-numeric = NaN.
-        double total = 0;
+        // The streaming evaluator's fold: empty = 0, non-numeric = NaN.
+        SumFold fold;
         GCX_RETURN_IF_ERROR(
             ForEachMatch(env_[static_cast<size_t>(expr.var)], expr.path, 0,
                          [&](DomNode* node) {
-                           if (auto n = ParseNumber(node->StringValue())) {
-                             total += *n;
-                           } else {
-                             total =
-                                 std::numeric_limits<double>::quiet_NaN();
-                           }
+                           fold.Add(node->StringValue());
                            return Status::Ok();
                          }));
-        writer_->Text(FormatNumber(total));
+        writer_->Text(fold.Format());
         return Status::Ok();
       }
       case ExprKind::kSignOff:

@@ -137,6 +137,7 @@ Result<ExecStats> Engine::ExecuteStreaming(const CompiledQuery& query,
   stats.live_roles_final = ctx.buffer().live_role_instances();
   stats.buffer_nodes_final = stats.buffer.nodes_current;
   stats.stalls = ctx.scanner().stalls();
+  stats.eval = evaluator.stats();
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

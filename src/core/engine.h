@@ -32,6 +32,7 @@
 #include "buffer/buffer_tree.h"
 #include "common/budget.h"
 #include "common/status.h"
+#include "eval/evaluator.h"
 #include "projection/projector.h"
 #include "xml/scanner.h"
 #include "xq/ast.h"
@@ -84,6 +85,7 @@ struct ExecStats {
   // virtual root (buffer_nodes_final == 1). Streaming modes only.
   uint64_t live_roles_final = 0;
   uint64_t buffer_nodes_final = 0;
+  EvalStats eval;  ///< streaming modes
 };
 
 /// One named engine configuration of the paper's Table 1 column set.

@@ -331,6 +331,7 @@ Result<ExecStats> EvaluateOne(ReplayContext& ctx, std::ostream* out,
   stats.events_delivered = stats.projector.events_read;
   stats.live_roles_final = ctx.buffer().live_role_instances();
   stats.buffer_nodes_final = stats.buffer.nodes_current;
+  stats.eval = evaluator.stats();
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -772,14 +773,16 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
             }
             writer.Text(std::to_string(count));
           } else {
-            std::vector<std::string> values;
+            // One fold over the concatenated per-shard values, in
+            // document order: exactly the solo fold.
+            SumFold fold;
             for (size_t s = 0; s < n; ++s) {
-              AggregateParts& parts = local_results[s][q][dyn].agg;
-              for (std::string& value : parts.values) {
-                values.push_back(std::move(value));
+              for (const std::string& value :
+                   local_results[s][q][dyn].agg.values) {
+                fold.Add(value);
               }
             }
-            writer.Text(FoldSumValues(values));
+            writer.Text(fold.Format());
           }
           ++dyn;
           break;
@@ -797,6 +800,8 @@ Result<MultiQueryStats> MultiQueryEngine::ExecuteSharded(
         stats.buffer.bytes_peak =
             std::max(stats.buffer.bytes_peak, slot.stats.buffer.bytes_peak);
         stats.projector.events_read += slot.stats.projector.events_read;
+        stats.eval.comparisons += slot.stats.eval.comparisons;
+        stats.eval.value_reads += slot.stats.eval.value_reads;
       }
     }
     writer.Flush();

@@ -107,6 +107,10 @@ void PublishExecStats(const ExecStats& stats, const MetricsSink& sink,
   projector.Add("text_kept_total", stats.projector.text_kept);
   projector.Add("text_skipped_total", stats.projector.text_skipped);
 
+  MetricsSink eval = sink.Sub("eval");
+  eval.Add("comparisons_total", stats.eval.comparisons);
+  eval.Add("value_reads_total", stats.eval.value_reads);
+
   MetricsSink buffer = sink.Sub("buffer");
   buffer.Add("nodes_created_total", stats.buffer.nodes_created);
   buffer.Add("nodes_purged_total", stats.buffer.nodes_purged);

@@ -19,7 +19,8 @@
 
 namespace gcx {
 
-/// Iterates matches of `step` from `scope`. Usage:
+/// Iterates matches of `step` from `scope`; `step` must outlive the cursor.
+/// Usage:
 ///   StepCursor cursor(ctx, scope, step);
 ///   while (true) {
 ///     GCX_ASSIGN_OR_RETURN(BufferNode* n, cursor.Next());
@@ -29,6 +30,7 @@ namespace gcx {
 class StepCursor {
  public:
   StepCursor(ExecContext* ctx, BufferNode* scope, const Step& step);
+  StepCursor(ExecContext* ctx, BufferNode* scope, Step&& step) = delete;
   ~StepCursor();
 
   StepCursor(const StepCursor&) = delete;
@@ -48,7 +50,8 @@ class StepCursor {
 
   ExecContext* ctx_;
   BufferNode* scope_;
-  Step step_;
+  /// A step of the analyzed query, which outlives every cursor.
+  const Step& step_;
   /// Last examined node (pinned), or nullptr before the first candidate.
   BufferNode* anchor_ = nullptr;
   bool exhausted_ = false;

@@ -3,6 +3,7 @@
 #include "common/strings.h"
 #include "eval/cursor.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -14,10 +15,6 @@
 namespace gcx {
 
 namespace {
-/// Stamp of the bindings that never change during one run: $root's, and
-/// the one literal operands are loaded under.
-constexpr uint64_t kFixedStamp = 1;
-
 /// CompareValues over values whose numbers are already parsed.
 bool CompareParsed(std::string_view lhs, const std::optional<double>& ln,
                    RelOp op, std::string_view rhs,
@@ -56,9 +53,49 @@ Evaluator::Evaluator(const AnalyzedQuery* query, ExecContext* ctx,
     : query_(query), ctx_(ctx), writer_(writer), options_(options) {
   env_.assign(query_->query.var_names.size(), nullptr);
   env_[kRootVar] = ctx_->buffer().root();
-  binding_stamp_.assign(env_.size(), 0);
-  binding_stamp_[kRootVar] = kFixedStamp;
-  last_stamp_ = kFixedStamp;
+  memos_by_fsa_.resize(env_.size());
+  PlanOperands(*query_->query.body);
+}
+
+void Evaluator::PlanOperands(const Expr& expr) {
+  if (expr.cond != nullptr) PlanCond(*expr.cond);
+  for (const auto& item : expr.items) PlanOperands(*item);
+  for (const Expr* sub : {expr.child.get(), expr.body.get(),
+                          expr.then_branch.get(), expr.else_branch.get()}) {
+    if (sub != nullptr) PlanOperands(*sub);
+  }
+}
+
+void Evaluator::PlanCond(const Cond& cond) {
+  if (cond.kind == CondKind::kCompare) {
+    OperandSource lhs = PlanOperand(cond.lhs);
+    operand_sources_[&cond] = {lhs, PlanOperand(cond.rhs)};
+  }
+  if (cond.left != nullptr) PlanCond(*cond.left);
+  if (cond.right != nullptr) PlanCond(*cond.right);
+}
+
+Evaluator::OperandSource Evaluator::PlanOperand(const Operand& operand) {
+  if (operand.is_literal) {
+    ValueList& list = literals_.emplace_back();
+    list.text = operand.literal;
+    list.values.push_back(
+        {0, operand.literal.size(), ParseNumber(operand.literal)});
+    return {true, static_cast<uint32_t>(literals_.size() - 1)};
+  }
+  // The if-clones rules NC and SEQ make share one memo per (var, path).
+  for (size_t i = 0; i < memo_keys_.size(); ++i) {
+    if (memo_keys_[i].first == operand.var &&
+        *memo_keys_[i].second == operand.path) {
+      return {false, static_cast<uint32_t>(i)};
+    }
+  }
+  auto index = static_cast<uint32_t>(memos_.size());
+  memos_.emplace_back();
+  memo_keys_.push_back({operand.var, &operand.path});
+  VarId fsa = query_->vars.info(operand.var).fsa;
+  memos_by_fsa_[static_cast<size_t>(fsa)].push_back(index);
+  return {false, index};
 }
 
 Status Evaluator::Run() { return EvalExpr(*query_->query.body); }
@@ -102,18 +139,16 @@ Status Evaluator::EvalExpr(const Expr& expr) {
   return Status::Ok();
 }
 
-std::string FoldSumValues(const std::vector<std::string>& values) {
-  double total = 0;
-  for (const std::string& value : values) {
-    if (auto number = ParseNumber(value)) {
-      total += *number;
-    } else {
-      total = std::numeric_limits<double>::quiet_NaN();
-      break;
-    }
+void SumFold::Add(std::string_view value) {
+  // NaN absorbs every later addend, so a poisoned sum stays NaN.
+  if (auto number = ParseNumber(value)) {
+    total_ += *number;
+  } else {
+    total_ = std::numeric_limits<double>::quiet_NaN();
   }
-  return FormatNumber(total);
 }
+
+std::string SumFold::Format() const { return FormatNumber(total_); }
 
 Status Evaluator::EvalAggregate(const Expr& expr) {
   BufferNode* base = env_[static_cast<size_t>(expr.var)];
@@ -140,19 +175,22 @@ Status Evaluator::EvalAggregate(const Expr& expr) {
   // any non-numeric value makes the sum NaN. (XQuery would raise a type
   // error; NaN keeps the streaming and DOM engines trivially in agreement
   // and is what XPath 1.0 number() semantics prescribe.) All four engine
-  // configurations share this rule — the DOM reference implements the
-  // identical loop in core/dom_engine.cc.
+  // configurations share this rule: the DOM reference folds through the
+  // same SumFold.
+  sum_values_.Clear();
   GCX_RETURN_IF_ERROR(ReadValues(expr.var, expr.path, &sum_values_));
-  std::vector<std::string> values;
-  values.reserve(sum_values_.values.size());
-  for (const ValueList::Value& value : sum_values_.values) {
-    values.emplace_back(sum_values_.View(value));
-  }
   if (capture != nullptr) {
-    capture->values = std::move(values);
+    capture->values.clear();
+    for (const ValueList::Value& value : sum_values_.values) {
+      capture->values.emplace_back(sum_values_.View(value));
+    }
     return Status::Ok();
   }
-  writer_->Text(FoldSumValues(values));
+  SumFold fold;
+  for (const ValueList::Value& value : sum_values_.values) {
+    fold.Add(sum_values_.View(value));
+  }
+  writer_->Text(fold.Format());
   return Status::Ok();
 }
 
@@ -179,8 +217,12 @@ Status Evaluator::EvalFor(const Expr& expr) {
     GCX_ASSIGN_OR_RETURN(BufferNode* node, cursor.Next());
     if (node == nullptr) break;
     env_[static_cast<size_t>(expr.loop_var)] = node;
-    binding_stamp_[static_cast<size_t>(expr.loop_var)] = ++last_stamp_;
     GCX_RETURN_IF_ERROR(EvalExpr(*expr.body));
+    // The iteration's signOffs have run: nodes the memos below describe
+    // may be purged from here on.
+    for (uint32_t memo : memos_by_fsa_[static_cast<size_t>(expr.loop_var)]) {
+      memos_[memo].Clear();
+    }
   }
   env_[static_cast<size_t>(expr.loop_var)] = nullptr;
   return Status::Ok();
@@ -324,26 +366,29 @@ Result<bool> Evaluator::ExistsPath(BufferNode* base, const RelativePath& path,
   }
 }
 
-Status Evaluator::LoadOperand(const Operand& operand, ValueList* slot) {
-  // A binding's values cannot change while its stamp stands: they are read
-  // only once the binding is finished, so nothing more arrives under it,
-  // and the matches keep their dep roles until the binding's signOff,
-  // which follows every use (Theorem 1).
-  uint64_t stamp = operand.is_literal
-                       ? kFixedStamp
-                       : binding_stamp_[static_cast<size_t>(operand.var)];
-  if (slot->stamp == stamp) return Status::Ok();
-  if (operand.is_literal) {
-    slot->text = operand.literal;
-    slot->values.assign(1, {0, operand.literal.size(), std::nullopt});
-  } else {
-    GCX_RETURN_IF_ERROR(ReadValues(operand.var, operand.path, slot));
+Result<Evaluator::OperandValues> Evaluator::LoadOperand(
+    const Operand& operand, OperandSource source) {
+  if (source.literal) {
+    const ValueList& list = literals_[source.index];
+    return OperandValues{&list, 0, list.values.size()};
   }
-  for (ValueList::Value& value : slot->values) {
-    value.number = ParseNumber(slot->View(value));
+  OperandMemo& memo = memos_[source.index];
+  BufferNode* base = env_[static_cast<size_t>(operand.var)];
+  GCX_CHECK(base != nullptr);
+  uint64_t created = ctx_->buffer().stats().nodes_created;
+  const OperandMemo::Entry* entry = memo.Find(base, created);
+  if (entry == nullptr) {
+    ValueList& list = memo.list();
+    size_t first = list.values.size();
+    GCX_RETURN_IF_ERROR(ReadValues(operand.var, operand.path, &list));
+    ++stats_.value_reads;
+    for (size_t i = first; i < list.values.size(); ++i) {
+      list.values[i].number = ParseNumber(list.View(list.values[i]));
+    }
+    // ReadValues may have pulled, creating nodes; the binding is older.
+    entry = &memo.Insert(base, ctx_->buffer().stats().nodes_created, first);
   }
-  slot->stamp = stamp;
-  return Status::Ok();
+  return OperandValues{&memo.list(), entry->first, entry->count};
 }
 
 Status Evaluator::ReadValues(VarId var, const RelativePath& path,
@@ -354,9 +399,6 @@ Status Evaluator::ReadValues(VarId var, const RelativePath& path,
   // carry dos::node() roles, so everything needed is buffered once the
   // binding is finished.
   GCX_RETURN_IF_ERROR(ctx_->EnsureFinished(base));
-  out->stamp = 0;
-  out->text.clear();
-  out->values.clear();
   for (const auto& match : collector_.Collect(ctx_->tags(), base, path)) {
     // XPath string value: concatenated descendant text.
     ValueList::Value value;
@@ -388,13 +430,19 @@ Result<bool> Evaluator::EvalCond(const Cond& cond) {
       return ExistsPath(base, cond.lhs.path, 0);
     }
     case CondKind::kCompare: {
-      OperandPair& slots = operand_cache_[&cond];
-      GCX_RETURN_IF_ERROR(LoadOperand(cond.lhs, &slots.lhs));
-      GCX_RETURN_IF_ERROR(LoadOperand(cond.rhs, &slots.rhs));
-      for (const ValueList::Value& l : slots.lhs.values) {
-        for (const ValueList::Value& r : slots.rhs.values) {
-          if (CompareParsed(slots.lhs.View(l), l.number, cond.op,
-                            slots.rhs.View(r), r.number)) {
+      ++stats_.comparisons;
+      const auto& [lhs_source, rhs_source] = operand_sources_.at(&cond);
+      GCX_ASSIGN_OR_RETURN(OperandValues lhs,
+                           LoadOperand(cond.lhs, lhs_source));
+      GCX_ASSIGN_OR_RETURN(OperandValues rhs,
+                           LoadOperand(cond.rhs, rhs_source));
+      // Entries are offsets, so loading one side never moves the other's.
+      for (size_t i = lhs.first; i < lhs.first + lhs.count; ++i) {
+        const ValueList::Value& l = lhs.list->values[i];
+        for (size_t j = rhs.first; j < rhs.first + rhs.count; ++j) {
+          const ValueList::Value& r = rhs.list->values[j];
+          if (CompareParsed(lhs.list->View(l), l.number, cond.op,
+                            rhs.list->View(r), r.number)) {
             return true;
           }
         }
@@ -417,6 +465,62 @@ Result<bool> Evaluator::EvalCond(const Cond& cond) {
     }
   }
   return EvalError("unknown condition kind");
+}
+
+size_t OperandMemo::Home(const BufferNode* node) const {
+  uint64_t h = (reinterpret_cast<uintptr_t>(node) >> 4) *
+               0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(h >> 32) & (table_.size() - 1);
+}
+
+const OperandMemo::Entry* OperandMemo::Find(const BufferNode* node,
+                                            uint64_t nodes_created) {
+  if (entries_.empty()) return nullptr;
+  for (size_t at = Home(node); table_[at] != 0;
+       at = (at + 1) & (table_.size() - 1)) {
+    Entry& entry = entries_[table_[at] - 1];
+    if (entry.node != node ||
+        static_cast<uint32_t>(entry.birth) != node->serial) {
+      continue;
+    }
+    if (SerialWindowHolds(entry.birth, nodes_created)) return &entry;
+    entry.node = nullptr;  // the pair may name a younger node by now
+    return nullptr;
+  }
+  return nullptr;
+}
+
+const OperandMemo::Entry& OperandMemo::Insert(const BufferNode* node,
+                                              uint64_t nodes_created,
+                                              size_t first) {
+  Entry entry;
+  entry.node = node;
+  entry.birth = NodeBirth(node->serial, nodes_created);
+  entry.first = static_cast<uint32_t>(first);
+  entry.count = static_cast<uint32_t>(list_.values.size() - first);
+  entries_.push_back(entry);
+  if (entries_.size() * 2 > table_.size()) {
+    // Keep the load factor at or below one half.
+    table_.assign(std::max<size_t>(8, table_.size() * 2), 0);
+    for (uint32_t i = 0; i < entries_.size(); ++i) Place(i);
+  } else {
+    Place(static_cast<uint32_t>(entries_.size() - 1));
+  }
+  return entries_.back();
+}
+
+void OperandMemo::Place(uint32_t index) {
+  Entry& entry = entries_[index];
+  size_t at = Home(entry.node);
+  while (table_[at] != 0) at = (at + 1) & (table_.size() - 1);
+  table_[at] = index + 1;
+  entry.slot = static_cast<uint32_t>(at);
+}
+
+void OperandMemo::Clear() {
+  for (const Entry& entry : entries_) table_[entry.slot] = 0;
+  entries_.clear();
+  list_.Clear();
 }
 
 }  // namespace gcx

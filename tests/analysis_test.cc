@@ -2,7 +2,7 @@
 // examples: dependencies (Def. 2 / Example 5), straightness and fsa
 // (Defs. 3-4 / Example 6), projection-tree derivation (Fig. 1, Fig. 12),
 // signOff insertion (Fig. 8 / Fig. 9 / Example 4), redundant-role
-// elimination (Sec. 6).
+// elimination (Sec. 6), and the hoist of signOff-free guards.
 
 #include <gtest/gtest.h>
 
@@ -383,6 +383,103 @@ TEST(SignOffs, EveryRoleIsSignedOffExactlyOnce) {
       EXPECT_EQ(counts[r], info.eliminated ? 0 : 1)
           << "role r" << r << " in " << text;
     }
+  }
+}
+
+// --- guard hoisting (inverse of Fig. 7's rule FOR) ---------------------------------
+
+/// The rewritten query as Analyze prints it, and as it prints before the
+/// hoist (the same pipeline stopped after InsertSignOffs).
+std::pair<std::string, std::string> HoistedAndUnhoisted(std::string_view text) {
+  auto parsed = ParseQuery(text);
+  GCX_CHECK(parsed.ok());
+  Query query = std::move(parsed).value();
+  GCX_CHECK(Normalize(&query).ok());
+  Query copy = query.Clone();
+  auto analyzed = Analyze(std::move(query));
+  GCX_CHECK(analyzed.ok());
+  RoleCatalog roles;
+  auto vars = VariableTree::Build(copy, &roles);
+  GCX_CHECK(vars.ok());
+  EliminateRedundantRoles(*vars, &roles);
+  MarkAggregateRoles(*vars, &roles);
+  InsertSignOffs(&copy, *vars, roles);
+  return {PrintQuery(analyzed->query), PrintQuery(copy)};
+}
+
+constexpr std::string_view kQ8 = R"q(
+<q8>{
+  for $p in /site/people/person return
+    <item>{
+      ($p/name,
+       for $t in /site/closed_auctions/closed_auction return
+         if ($t/buyer/person = $p/id) then $t/itemref else ())
+    }</item>
+}</q8>)q";
+
+TEST(HoistGuards, Q8GuardLeavesTheItemrefLoop) {
+  auto [hoisted, unhoisted] = HoistedAndUnhoisted(kQ8);
+  EXPECT_EQ(
+      hoisted,
+      "<q8>{(for $#step7 in $root/site return (for $#step8 in $#step7/people "
+      "return (for $p in $#step8/person return (<item>{(for $#out3 in "
+      "$p/name return ($#out3, signOff($#out3, r5)), for $#step5 in "
+      "$root/site return for $#step6 in $#step5/closed_auctions return for "
+      "$t in $#step6/closed_auction return if ($t/buyer/person = $p/id) then "
+      "for $#out4 in $t/itemref return $#out4 else ())}</item>, "
+      "signOff($p, r3), signOff($p/id, r11)), signOff($#step8, r2)), "
+      "signOff($#step7, r1)), signOff($root/site/closed_auctions/"
+      "closed_auction, r8), signOff($root/site/closed_auctions/"
+      "closed_auction/buyer/person, r10), signOff($root/site/"
+      "closed_auctions/closed_auction/itemref, r12), signOff($root/site, "
+      "r6), signOff($root/site/closed_auctions, r7))}</q8>");
+  // Rule FOR had pushed the guard into the itemref loop; it stops at $t,
+  // which it mentions.
+  EXPECT_NE(unhoisted.find("for $#out4 in $t/itemref return if "
+                           "($t/buyer/person = $p/id) then $#out4 else ()"),
+            std::string::npos)
+      << unhoisted;
+}
+
+TEST(HoistGuards, Q1GuardStaysWithItsSignOff) {
+  constexpr std::string_view kQ1 = R"q(
+<q1>{
+  for $p in /site/people/person return
+    if ($p/id = "person0") then $p/name else ()
+}</q1>)q";
+  auto [hoisted, unhoisted] = HoistedAndUnhoisted(kQ1);
+  // The name loop's body carries signOff($#out2, r6): running it for every
+  // binding is what rule FOR is for, so the loop is not hoisted.
+  EXPECT_EQ(hoisted,
+            "<q1>{for $#step3 in $root/site return (for $#step4 in "
+            "$#step3/people return (for $p in $#step4/person return (for "
+            "$#out2 in $p/name return (if ($p/id = \"person0\") then "
+            "$#out2 else (), signOff($#out2, r6)), signOff($p, r3), "
+            "signOff($p/id, r5)), signOff($#step4, r2)), signOff($#step3, "
+            "r1))}</q1>");
+  EXPECT_EQ(hoisted, unhoisted);
+}
+
+TEST(HoistGuards, CascadesPastEveryLoopTheGuardIgnores) {
+  auto [hoisted, unhoisted] = HoistedAndUnhoisted(
+      "<r>{ for $p in /s/p return <row>{ for $t in /s/t return "
+      "for $l in $t/l return if ($p/v = \"y\") then $l/i else () }</row> }</r>");
+  EXPECT_NE(hoisted.find("<row>{if ($p/v = \"y\") then for $#step"),
+            std::string::npos)
+      << hoisted;
+  EXPECT_NE(unhoisted.find("return if ($p/v = \"y\") then $#out"),
+            std::string::npos)
+      << unhoisted;
+}
+
+TEST(HoistGuards, KeepsGuardsThatReadTheLoopOrHaveAnElse) {
+  for (std::string_view text :
+       {std::string_view("<r>{ for $p in /s/p return for $t in /s/t return "
+                         "if ($t/k = $p/k) then <m/> else () }</r>"),
+        std::string_view("<r>{ for $p in /s/p return for $t in /s/t return "
+                         "if ($p/k = \"1\") then <m/> else <n/> }</r>")}) {
+    auto [hoisted, unhoisted] = HoistedAndUnhoisted(text);
+    EXPECT_EQ(hoisted, unhoisted) << text;
   }
 }
 

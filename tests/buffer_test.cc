@@ -311,5 +311,43 @@ TEST_F(BufferTest, DeepChainPurgeIsComplete) {
   EXPECT_EQ(buffer_.stats().nodes_current, 1u);
 }
 
+TEST_F(BufferTest, RecycledAddressGetsAFreshSerial) {
+  BufferNode* a = Element(buffer_.root(), "a");
+  EXPECT_EQ(buffer_.root()->serial, 1u);
+  EXPECT_EQ(a->serial, 2u);
+  buffer_.Finish(a);  // sterile: purged, its slot back on the free list
+  BufferNode* b = Element(buffer_.root(), "b");
+  ASSERT_EQ(b, a);  // the pool hands the address out again...
+  EXPECT_EQ(b->serial, 3u);  // ...under a new serial
+  EXPECT_EQ(NodeBirth(b->serial, buffer_.stats().nodes_created), 3u);
+}
+
+TEST(SerialWindow, ReconstructsBirthWithinTheWindow) {
+  constexpr uint64_t kWrap = uint64_t{1} << 32;
+  EXPECT_EQ(NodeBirth(7, 7), 7u);
+  EXPECT_EQ(NodeBirth(7, 1000), 7u);
+  EXPECT_EQ(NodeBirth(7, kWrap + 6), 7u);
+  // Counts past the wrap keep their high bits.
+  EXPECT_EQ(NodeBirth(3, 5 * kWrap + 10), 5 * kWrap + 3);
+  EXPECT_EQ(NodeBirth(static_cast<uint32_t>(kWrap - 2), 5 * kWrap + 10),
+            5 * kWrap - 2);
+  // A node older than the window reconstructs later than its true birth
+  // (never earlier), on the same residue.
+  EXPECT_EQ(NodeBirth(7, kWrap + 8), kWrap + 7);
+}
+
+TEST(SerialWindow, HoldsForFewerThanTwoToTheThirtyTwoCreations) {
+  constexpr uint64_t kWrap = uint64_t{1} << 32;
+  for (uint64_t birth : {uint64_t{1}, uint64_t{7}, 3 * kWrap - 5}) {
+    EXPECT_TRUE(SerialWindowHolds(birth, birth));
+    EXPECT_TRUE(SerialWindowHolds(birth, birth + kWrap - 1));
+    // The first count at which a younger node can carry the same serial.
+    EXPECT_FALSE(SerialWindowHolds(birth, birth + kWrap));
+    EXPECT_EQ(static_cast<uint32_t>(birth + kWrap),
+              static_cast<uint32_t>(birth));
+    EXPECT_FALSE(SerialWindowHolds(birth, birth + 3 * kWrap));
+  }
+}
+
 }  // namespace
 }  // namespace gcx

@@ -10,6 +10,7 @@
 #include "xq/normalize.h"
 #include "xq/parser.h"
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,8 +43,9 @@ class CursorHarness {
 
   StreamExecContext& ctx() { return *ctx_; }
 
-  Step MakeStep(Axis axis, const char* tag) {
-    Step step;
+  /// A step owned by the harness, so it outlives the cursors built on it.
+  const Step& MakeStep(Axis axis, const char* tag) {
+    Step& step = steps_.emplace_back();
     step.axis = axis;
     step.test = tag == nullptr ? NodeTest::Star() : NodeTest::Tag(tag);
     return step;
@@ -65,6 +67,7 @@ class CursorHarness {
  private:
   std::unique_ptr<AnalyzedQuery> analyzed_;
   std::unique_ptr<StreamExecContext> ctx_;
+  std::deque<Step> steps_;
 };
 
 TEST(Cursor, ChildIterationPullsLazily) {

@@ -192,7 +192,7 @@ std::string RunDom(std::string_view query, std::string_view doc) {
 }
 
 /// Forwards to a StreamExecContext and records, in order, every node that
-/// becomes the last child of the document element.
+/// becomes the last child of the document element, with its serial.
 class RecordingContext : public ExecContext {
  public:
   explicit RecordingContext(StreamExecContext* inner) : inner_(inner) {}
@@ -203,23 +203,25 @@ class RecordingContext : public ExecContext {
     Result<bool> more = inner_->Pull();
     BufferNode* doc = buffer().root()->first_child;
     BufferNode* last = doc != nullptr ? doc->last_child : nullptr;
-    if (last != nullptr && (appended.empty() || appended.back() != last)) {
-      appended.push_back(last);
+    if (last != nullptr &&
+        (appended.empty() || appended.back().first != last)) {
+      appended.push_back({last, last->serial});
     }
     return more;
   }
 
-  std::vector<const BufferNode*> appended;
+  std::vector<std::pair<const BufferNode*, uint32_t>> appended;
 
  private:
   StreamExecContext* inner_;
 };
 
-TEST(OperandCache, RecycledBindingAddressSeesItsOwnValues) {
+TEST(OperandMemo, RecycledBindingAddressSeesItsOwnValues) {
   // Each <a> is purged before the next-but-one arrives, so the node pool
   // hands later bindings the addresses of earlier ones. The inner
-  // comparison runs only for t = x bindings: a cache keyed by the binding's
-  // address would hand a recycled binding the values of the earlier one.
+  // comparison runs only for t = x bindings: a memo keyed by the binding's
+  // address alone would hand a recycled binding the values of the earlier
+  // one.
   const char* query =
       "<o>{ for $a in /r/a return if ($a/t = \"x\") then "
       "(if ($a/k = \"1\") then <hit/> else <miss/>) else <skip/> }</o>";
@@ -247,26 +249,104 @@ TEST(OperandCache, RecycledBindingAddressSeesItsOwnValues) {
                            ScannerOptions{});
   RecordingContext ctx(&stream);
   std::ostringstream out;
+  EvalStats stats;
   {
     XmlWriter writer(&out);
     Evaluator evaluator(&analyzed, &ctx, &writer);
     ASSERT_TRUE(evaluator.Run().ok());
+    stats = evaluator.stats();
   }
   EXPECT_EQ(out.str(), expected);
   EXPECT_EQ(out.str(), RunDom(query, doc));
   EXPECT_LT(stream.buffer().stats().nodes_peak, 16u);
+  // $a is straight, so it is its own fsa: the memos clear after every
+  // binding and each comparison reads its operand afresh.
+  EXPECT_EQ(stats.comparisons, 12u + 4u);
+  EXPECT_EQ(stats.value_reads, 12u + 4u);
 
-  // Successive bindings that reached the inner comparison did share an
-  // address, so the test exercises the recycling it is about.
+  // Bindings that reached the inner comparison shared an address across
+  // iterations of the fsa loop, so the test exercises the recycling it is
+  // about; the serial tells each reuse apart, so a memo that outlived the
+  // iteration would still miss.
   ASSERT_EQ(ctx.appended.size(), 12u);
   int recycled = 0;
   for (size_t i = 3; i < 12; i += 3) {
-    recycled += ctx.appended[i] == ctx.appended[i - 3];
+    if (ctx.appended[i].first != ctx.appended[i - 3].first) continue;
+    ++recycled;
+    EXPECT_NE(ctx.appended[i].second, ctx.appended[i - 3].second);
   }
   EXPECT_GT(recycled, 0);
 }
 
-TEST(OperandCache, InnerLoopInvariantOperandMatchesNaiveDom) {
+TEST(OperandMemo, SerialCheckRejectsARecycledAddress) {
+  SymbolTable tags;
+  BufferTree buffer;
+  BufferNode* a = buffer.AppendElement(buffer.root(), tags.Intern("a"));
+  buffer.AppendText(a, "v1");
+  OperandMemo memo;
+  size_t first = memo.list().values.size();
+  memo.list().text = "v1";
+  memo.list().values.push_back({0, 2, std::nullopt});
+  memo.Insert(a, buffer.stats().nodes_created, first);
+  ASSERT_NE(memo.Find(a, buffer.stats().nodes_created), nullptr);
+
+  buffer.Finish(a);  // no roles below: purged, the address freed
+  BufferNode* b = buffer.AppendElement(buffer.root(), tags.Intern("b"));
+  ASSERT_EQ(b, a);
+  EXPECT_EQ(memo.Find(b, buffer.stats().nodes_created), nullptr);
+  memo.Insert(b, buffer.stats().nodes_created, memo.list().values.size());
+  const OperandMemo::Entry* entry = memo.Find(b, buffer.stats().nodes_created);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->count, 0u);
+  memo.Clear();
+  EXPECT_EQ(memo.Find(b, buffer.stats().nodes_created), nullptr);
+}
+
+TEST(OperandMemo, EntryExpiresWithTheSerialWindow) {
+  constexpr uint64_t kWrap = uint64_t{1} << 32;
+  BufferNode node;  // synthetic: only its address and serial matter
+  node.serial = 7;
+  OperandMemo memo;
+  memo.Insert(&node, /*nodes_created=*/100, 0);
+  EXPECT_NE(memo.Find(&node, 7 + kWrap - 1), nullptr);
+  // From 2^32 creations after its birth on, (address, serial) may name a
+  // younger node: the entry is dropped, not trusted.
+  EXPECT_EQ(memo.Find(&node, 7 + kWrap), nullptr);
+  EXPECT_EQ(memo.Find(&node, 100), nullptr);
+  node.serial = 8;
+  EXPECT_EQ(memo.Find(&node, 100), nullptr);
+}
+
+TEST(OperandMemo, NotStraightJoinReadsEachNodeOnce) {
+  // $t is not straight (its loop sits inside $p's over an absolute path),
+  // so its fsa is $root: each <t> is read once for the whole run, each
+  // <p> once for its own iteration.
+  const char* query =
+      "<o>{ for $p in /s/p return <row>{ for $t in /s/t return "
+      "if ($t/ref = $p/id) then $t/v else () }</row> }</o>";
+  std::string doc = "<s>";
+  for (int i = 0; i < 6; ++i) {
+    doc += "<p><id>" + std::to_string(i) + "</id></p>";
+  }
+  for (int i = 0; i < 9; ++i) {
+    doc += "<t><ref>" + std::to_string(i % 4) + "</ref><v>" +
+           std::to_string(i) + "</v></t>";
+  }
+  doc += "</s>";
+  auto compiled = CompiledQuery::Compile(query);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Engine engine;
+  std::ostringstream out;
+  auto stats = engine.Execute(*compiled, doc, &out);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(out.str(), RunDom(query, doc));
+  EXPECT_EQ(stats->eval.comparisons, 6u * 9u);
+  EXPECT_EQ(stats->eval.value_reads, 6u + 9u);
+  EXPECT_EQ(stats->live_roles_final, 0u);
+  EXPECT_EQ(stats->buffer_nodes_final, 1u);
+}
+
+TEST(OperandMemo, InnerLoopInvariantOperandMatchesNaiveDom) {
   // $p/id is fixed for the whole inner loop: loaded once per $p, it must
   // still give the reference answer for every $t.
   const char* query =
@@ -282,7 +362,7 @@ TEST(OperandCache, InnerLoopInvariantOperandMatchesNaiveDom) {
             "<o><row><v>b</v></row><row><v>a</v><v>c</v></row><row></row></o>");
 }
 
-TEST(OperandCache, MultiValuedOperandsAreExistential) {
+TEST(OperandMemo, MultiValuedOperandsAreExistential) {
   // Some pair must satisfy the relation; "10" and "10.0" compare as
   // numbers.
   const char* query =

@@ -2,7 +2,9 @@
 // documents) and differentially checks GCX against the NaiveDom oracle.
 // This is the strongest empirical check of Theorem 1 in the suite — the
 // query generator composes for-loops, conditions, constructors, outputs
-// and aggregates in arbitrary nestings.
+// and aggregates in arbitrary nestings, with nested value joins (the Q8
+// shape) drawn often enough to exercise the guard hoist and the operand
+// memo on every seed.
 
 #include <gtest/gtest.h>
 
@@ -89,7 +91,7 @@ class QueryFuzzer {
   }
 
   std::string ExprInner() {
-    uint64_t pick = rng_.Below(depth_ > 3 ? 4u : 10u);
+    uint64_t pick = rng_.Below(depth_ > 3 ? 4u : 12u);
     switch (pick) {
       case 0:
         return "()";
@@ -121,10 +123,33 @@ class QueryFuzzer {
       case 7: {  // constructor with content
         return "<w>{ " + Expr() + " }</w>";
       }
+      case 8:
+      case 9:
+        return Join();
       default: {  // sequence
         return "(" + Expr() + ", " + Expr() + ")";
       }
     }
+  }
+
+  /// A nested value join, the Q8 shape: a loop whose guard compares the
+  /// new variable with an enclosing one (operand memo across bindings of
+  /// the same node), or, one time in four, reads only enclosing variables
+  /// (the guard hoists out of the loop). The source is absolute half the
+  /// time, which makes the variable not straight.
+  std::string Join() {
+    static const char* ops[] = {"=", "!=", "<", "<=", ">", ">="};
+    std::string var = "$v" + std::to_string(vars_.size());
+    std::string source = rng_.Chance(500) ? "/" + Path(2) : VarPath(2);
+    std::string outer = VarPath(2);
+    std::string inner = rng_.Chance(250) ? VarPath(2) : var + "/" + Path(2);
+    vars_.push_back(var);
+    std::string then_branch =
+        rng_.Chance(500) ? var + "/" + Path(2) : Expr();
+    vars_.pop_back();
+    return "for " + var + " in " + source + " return if (" + inner + " " +
+           ops[rng_.Below(6)] + " " + outer + ") then " + then_branch +
+           " else ()";
   }
 
   Prng rng_;
@@ -200,6 +225,17 @@ TEST_P(FuzzDifferentialTest, RandomQueriesMatchOracle) {
                               << query << "\n" << doc;
       ASSERT_EQ(actual.str(), expected.str())
           << "mask=" << mask << "\nquery: " << query << "\ndoc: " << doc;
+      if (options.enable_gc) {
+        // Sec. 3 safety: every role removed, and, once the input was read
+        // to its end, the buffer drained to its root. (An evaluation that
+        // finishes early leaves the elements still open in the stream.)
+        ASSERT_EQ(stats->live_roles_final, 0u)
+            << "mask=" << mask << "\nquery: " << query << "\ndoc: " << doc;
+        if (stats->input_bytes == doc.size()) {
+          ASSERT_EQ(stats->buffer_nodes_final, 1u)
+              << "mask=" << mask << "\nquery: " << query << "\ndoc: " << doc;
+        }
+      }
     }
   }
 }
